@@ -16,9 +16,10 @@ import math
 import pytest
 
 from benchmarks.conftest import BENCH_SCALE
-from repro import ReplicationConfig, analyze, optimize_replication
+from repro import ReplicationConfig, analyze
 from repro.bench.runner import run_vpr_baseline
 from repro.core.config import ReplicationConfig as Config
+from repro.core.flow import optimize_replication
 from repro.place import TimingDrivenLegalizer
 
 

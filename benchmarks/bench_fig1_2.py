@@ -15,10 +15,10 @@ from repro import (
     ReplicationConfig,
     analyze,
     check_equivalence,
-    optimize_replication,
     total_wirelength,
 )
 from repro.arch import LinearDelayModel
+from repro.core.flow import optimize_replication
 from repro.timing import is_monotone
 
 MODEL = LinearDelayModel(1.0, 0.0, 1.0, 0.0, 0.0, 0.0)

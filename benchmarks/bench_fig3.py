@@ -7,8 +7,9 @@ lower bound.  This is the paper's core argument for the replication
 tree, asserted quantitatively.
 """
 
-from repro import ReplicationConfig, analyze, delay_lower_bound, optimize_replication
+from repro import ReplicationConfig, analyze, delay_lower_bound
 from repro.baselines import best_of_runs
+from repro.core.flow import optimize_replication
 from repro.timing import locally_nonmonotone_cells, nonmonotone_ratio
 
 

@@ -16,9 +16,9 @@ from repro import (
     Placement,
     ReplicationConfig,
     analyze,
-    optimize_replication,
 )
 from repro.arch import LinearDelayModel
+from repro.core.flow import optimize_replication
 
 MODEL = LinearDelayModel(1.0, 0.0, 1.0, 0.0, 0.0, 0.0)
 

@@ -19,10 +19,10 @@ from repro import (
     ReplicationConfig,
     analyze,
     delay_lower_bound,
-    optimize_replication,
 )
 from repro.arch import LinearDelayModel
 from repro.baselines import best_of_runs
+from repro.core.flow import optimize_replication
 from repro.timing import critical_path_stats
 
 MODEL = LinearDelayModel(1.0, 0.0, 1.0, 0.0, 0.0, 0.0)

@@ -12,7 +12,6 @@ import sys
 from repro import (
     ReplicationConfig,
     analyze,
-    optimize_replication,
     place_timing_driven,
     route_infinite,
     routed_critical_delay,
@@ -20,6 +19,7 @@ from repro import (
     validate_netlist,
 )
 from repro.bench import suite_circuit
+from repro.core.flow import optimize_replication
 
 
 def main() -> None:

@@ -81,33 +81,17 @@ def phase_sta_full(repeats: int, quick: bool) -> float:
 def phase_sta_after_move(repeats: int, quick: bool) -> float:
     """Timing refresh cost after single-cell moves (the legalizer's loop).
 
-    Uses :class:`repro.timing.incremental.IncrementalSTA` when available
-    (post perf-layer), else a full ``analyze`` per move (the seed code's
-    behaviour) — the workload is the same either way: move a cell, get a
-    fresh, complete timing view.
+    Moves a cell and asks :class:`repro.timing.incremental.IncrementalSTA`
+    for a fresh, complete timing view, then moves it back.
     """
-    from repro.timing.sta import analyze
+    from repro.timing.incremental import IncrementalSTA
 
     netlist, placement = _placed_circuit(luts=120 if quick else 400)
     luts = [c.cell_id for c in netlist.cells.values() if c.is_lut]
     moves = luts[: 10 if quick else 40]
     free = placement.free_logic_slots()
 
-    try:
-        from repro.timing.incremental import IncrementalSTA
-    except ImportError:
-        IncrementalSTA = None
-
-    def run_full() -> None:
-        for i, cid in enumerate(moves):
-            cell = netlist.cells[cid]
-            original = placement.slot_of(cid)
-            placement.place(cell, free[i % len(free)])
-            analyze(netlist, placement)
-            placement.place(cell, original)
-            analyze(netlist, placement)
-
-    def run_incremental() -> None:
+    def run() -> None:
         sta = IncrementalSTA(netlist, placement)
         sta.analysis()
         for i, cid in enumerate(moves):
@@ -119,9 +103,7 @@ def phase_sta_after_move(repeats: int, quick: bool) -> float:
             sta.analysis()
         sta.detach()
 
-    if IncrementalSTA is not None:
-        return _best_of(run_incremental, repeats)
-    return _best_of(run_full, repeats)
+    return _best_of(run, repeats)
 
 
 def _bench_tree(leaves: int):
@@ -218,12 +200,7 @@ def phase_flow_micro(repeats: int, quick: bool) -> float:
 
 
 def _routing_workload(quick: bool):
-    """Placed circuit plus the fixed low-stress width for route phases.
-
-    The low-stress width is derived once with the default engine so the
-    before/after comparison routes at the identical width regardless of
-    ``--engine``.
-    """
+    """Placed circuit plus the fixed low-stress width for route phases."""
     from repro.route.metrics import find_min_channel_width
 
     netlist, placement = _placed_circuit(luts=120 if quick else 400, seed=7)
@@ -232,54 +209,31 @@ def _routing_workload(quick: bool):
     return netlist, placement, width
 
 
-def phase_route_winf(
-    repeats: int, quick: bool, engine: str, kernel: str, search: str
-) -> float:
+def phase_route_winf(repeats: int, quick: bool) -> float:
     from repro.route.pathfinder import route_design
 
     netlist, placement, _width = _routing_workload(quick)
-
-    def run() -> None:
-        route_design(
-            netlist, placement, math.inf, max_iterations=1,
-            engine=engine, kernel=kernel, search=search,
-        )
-
-    return _best_of(run, repeats)
+    return _best_of(
+        lambda: route_design(netlist, placement, math.inf, max_iterations=1),
+        repeats,
+    )
 
 
-def phase_route_lowstress(
-    repeats: int, quick: bool, engine: str, kernel: str, search: str
-) -> float:
+def phase_route_lowstress(repeats: int, quick: bool) -> float:
     from repro.route.pathfinder import route_design
 
     netlist, placement, width = _routing_workload(quick)
-
-    def run() -> None:
-        route_design(
-            netlist, placement, width, engine=engine, kernel=kernel,
-            search=search,
-        )
-
-    return _best_of(run, repeats)
+    return _best_of(lambda: route_design(netlist, placement, width), repeats)
 
 
-def phase_wmin(
-    repeats: int, quick: bool, engine: str, wmin_engine: str, kernel: str,
-    search: str,
-) -> float:
+def phase_wmin(repeats: int, quick: bool) -> float:
     """Full W_min search on the routing circuit (the dominant route phase)."""
     from repro.route.metrics import find_min_channel_width
 
     netlist, placement = _placed_circuit(luts=120 if quick else 400, seed=7)
-
-    def run() -> None:
-        find_min_channel_width(
-            netlist, placement, engine=engine, wmin_engine=wmin_engine,
-            kernel=kernel, search=search,
-        )
-
-    return _best_of(run, repeats)
+    return _best_of(
+        lambda: find_min_channel_width(netlist, placement), repeats
+    )
 
 
 def phase_netlist_load(repeats: int, quick: bool) -> float:
@@ -353,22 +307,9 @@ PHASES = (
     "wmin",
 )
 
-#: ``--ab`` flag name -> (run_phases keyword, legal values).
-AB_FLAGS = {
-    "engine": ("engine", ("fast", "reference")),
-    "wmin-engine": ("wmin_engine", ("fast", "reference")),
-    "kernel": ("kernel", ("auto", "scalar", "vector")),
-    "route-search": ("search", ("auto", "heap", "wavefront")),
-}
-
 
 def run_phases(
-    repeats: int,
-    quick: bool,
-    engine: str = "fast",
-    wmin_engine: str = "fast",
-    kernel: str = "auto",
-    search: str = "auto",
+    repeats: int, quick: bool
 ) -> tuple[dict[str, float], dict[str, list[float]]]:
     """Returns ``(best-of timings, per-repeat samples)`` per phase."""
     timings: dict[str, float] = {}
@@ -390,69 +331,12 @@ def run_phases(
     record("netlist_load", phase_netlist_load(micro, quick))
     record("legalizer", phase_legalizer(micro, quick))
     record("flow_micro", phase_flow_micro(max(1, repeats - 1), quick))
-    record("route_winf", phase_route_winf(repeats, quick, engine, kernel, search))
-    record("route_lowstress", phase_route_lowstress(
-        max(1, repeats - 1), quick, engine, kernel, search
-    ))
-    # The search is end-to-end (many negotiations per run), so one
-    # repeat less keeps the reference-engine baseline regen tractable.
-    record("wmin", phase_wmin(
-        max(1, repeats - 2), quick, engine, wmin_engine, kernel, search
-    ))
+    record("route_winf", phase_route_winf(repeats, quick))
+    record("route_lowstress", phase_route_lowstress(max(1, repeats - 1), quick))
+    # The search is end-to-end (many negotiations per run), so it gets
+    # the fewest repeats.
+    record("wmin", phase_wmin(max(1, repeats - 2), quick))
     return timings, samples
-
-
-def paired_ab(
-    base: dict[str, list[float]], cand: dict[str, list[float]]
-) -> dict[str, dict]:
-    """Paired-median comparison of two interleaved sample sets.
-
-    ``base``/``cand`` map phase name -> one sample per repeat, aligned by
-    repeat index (sample ``i`` of both arms ran back to back, so drift
-    affects the pair, not the ratio).  The headline ``speedup`` is the
-    ratio of the two medians; ``paired_speedups`` keeps the per-repeat
-    ratios so a reader can see the spread.
-    """
-    out: dict[str, dict] = {}
-    for name, base_samples in base.items():
-        cand_samples = cand.get(name)
-        if not base_samples or not cand_samples:
-            continue
-        n = min(len(base_samples), len(cand_samples))
-        base_med = _median(base_samples[:n])
-        cand_med = _median(cand_samples[:n])
-        out[name] = {
-            "base_median": round(base_med, 6),
-            "cand_median": round(cand_med, 6),
-            "speedup": round(base_med / cand_med, 4) if cand_med else math.inf,
-            "paired_speedups": [
-                round(base_samples[i] / cand_samples[i], 4)
-                for i in range(n)
-                if cand_samples[i]
-            ],
-        }
-    return out
-
-
-def run_ab(
-    repeats: int, quick: bool, base_kw: dict, cand_kw: dict
-) -> tuple[dict[str, list[float]], dict[str, list[float]]]:
-    """Run both arms ``repeats`` times, strictly interleaved.
-
-    Each repeat runs the full phase set for the baseline arm and then
-    for the candidate arm, so thermal/load drift lands on pairs rather
-    than on one arm.  Returns one best-of sample per phase per repeat.
-    """
-    base_samples: dict[str, list[float]] = {}
-    cand_samples: dict[str, list[float]] = {}
-    for repeat in range(repeats):
-        for arm_kw, arm_samples in (
-            (base_kw, base_samples), (cand_kw, cand_samples)
-        ):
-            timings, _ = run_phases(1, quick, **arm_kw)
-            for name, seconds in timings.items():
-                arm_samples.setdefault(name, []).append(seconds)
-    return base_samples, cand_samples
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -471,115 +355,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--no-write", action="store_true", help="print only, do not write --out"
     )
-    parser.add_argument(
-        "--engine",
-        choices=("fast", "reference"),
-        default="fast",
-        help="router engine for the route_* phases (reference = parity "
-        "oracle, for regenerating 'before' numbers)",
-    )
-    parser.add_argument(
-        "--wmin-engine",
-        choices=("fast", "reference"),
-        default="fast",
-        help="W_min search strategy for the wmin phase (reference = cold "
-        "bisection, for regenerating 'before' numbers)",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=("auto", "scalar", "vector"),
-        default="auto",
-        help="negotiation kernel for the route_*/wmin phases "
-        "(bit-identical results; auto = vector when numpy is available)",
-    )
-    parser.add_argument(
-        "--route-search",
-        choices=("auto", "heap", "wavefront"),
-        default="auto",
-        dest="route_search",
-        help="uniform-regime search engine for the route_*/wmin phases "
-        "(bit-identical results; auto = wavefront when numpy is available)",
-    )
-    parser.add_argument(
-        "--ab",
-        default=None,
-        metavar="FLAG=VALUE",
-        help="paired A/B mode: run a baseline arm (the other flags as "
-        "given) and a candidate arm with FLAG overridden to VALUE, "
-        "strictly interleaved per repeat; FLAG is one of "
-        f"{', '.join(sorted(AB_FLAGS))}",
-    )
     args = parser.parse_args(argv)
 
-    ab_spec = None
-    if args.ab is not None:
-        flag, _, value = args.ab.partition("=")
-        if flag not in AB_FLAGS:
-            parser.error(
-                f"--ab flag {flag!r} not one of {', '.join(sorted(AB_FLAGS))}"
-            )
-        keyword, legal = AB_FLAGS[flag]
-        if value not in legal:
-            parser.error(f"--ab {flag} value {value!r} not one of {legal}")
-        ab_spec = (flag, keyword, value)
+    from repro.perf import PERF, sample_peak_rss
 
-    try:
-        from repro.perf import PERF
-
-        PERF.enable()
-        PERF.reset()
-    except ImportError:  # seed code without the perf registry
-        PERF = None
-
-    try:
-        from repro.route.kernels import resolve_kernel
-
-        resolved_kernel = resolve_kernel(args.kernel).name
-    except ImportError:  # seed code without the kernels module
-        resolved_kernel = "scalar"
-
-    try:
-        from repro.route.wavefront import resolve_search
-
-        resolved_search = resolve_search(args.route_search)
-    except ImportError:  # seed code without the wavefront module
-        resolved_search = "heap"
-
-    ab_report = None
-    if ab_spec is not None:
-        flag, keyword, value = ab_spec
-        base_kw = {
-            "engine": args.engine,
-            "wmin_engine": args.wmin_engine,
-            "kernel": args.kernel,
-            "search": args.route_search,
-        }
-        cand_kw = dict(base_kw)
-        cand_kw[keyword] = value
-        base_samples, cand_samples = run_ab(
-            args.repeats, args.quick, base_kw, cand_kw
-        )
-        # The baseline arm doubles as this run's committed trajectory.
-        timings = {
-            name: min(vals) for name, vals in base_samples.items()
-        }
-        samples = {
-            name: [round(v, 6) for v in vals]
-            for name, vals in base_samples.items()
-        }
-        ab_report = {
-            "flag": flag,
-            "value": value,
-            "base": base_kw,
-            "candidate": cand_kw,
-            "repeats": args.repeats,
-            "phases": paired_ab(base_samples, cand_samples),
-        }
-    else:
-        timings, samples = run_phases(
-            args.repeats, args.quick, args.engine, args.wmin_engine,
-            args.kernel, args.route_search,
-        )
+    PERF.enable()
+    PERF.reset()
+    timings, samples = run_phases(args.repeats, args.quick)
 
     report: dict = {
         "meta": {
@@ -587,10 +369,6 @@ def main(argv: list[str] | None = None) -> int:
             "platform": platform.platform(),
             "quick": args.quick,
             "repeats": args.repeats,
-            "engine": args.engine,
-            "wmin_engine": args.wmin_engine,
-            "kernel": resolved_kernel,
-            "search": resolved_search,
             "baseline_notes": (
                 "ms-scale phases (embedder_*, legalizer) run with extra "
                 "repeats and the legalizer phase now mirrors production "
@@ -604,34 +382,14 @@ def main(argv: list[str] | None = None) -> int:
         },
         "samples": samples,
     }
-    if PERF is not None:
-        try:
-            from repro.perf import sample_peak_rss
-
-            PERF.record_max("peak_rss_mb", sample_peak_rss())
-        except ImportError:  # seed code without the RSS gauge
-            pass
-        snapshot = PERF.snapshot()
-        report["counters"] = snapshot["counters"]
-        report["timers"] = snapshot["timers"]
-        if snapshot.get("maxes"):
-            report["maxes"] = snapshot["maxes"]
-    if ab_report is not None:
-        report["ab"] = ab_report
+    PERF.record_max("peak_rss_mb", sample_peak_rss())
+    snapshot = PERF.snapshot()
+    report["counters"] = snapshot["counters"]
+    report["timers"] = snapshot["timers"]
+    if snapshot.get("maxes"):
+        report["maxes"] = snapshot["maxes"]
 
     width = max(len(name) for name in timings)
-    if ab_report is not None:
-        flag, value = ab_report["flag"], ab_report["value"]
-        print(f"A/B: baseline vs --{flag} {value} "
-              f"(paired medians over {args.repeats} interleaved repeats)")
-        print(f"{'phase':<{width}}  {'base med':>10}  {'cand med':>10}  "
-              f"speedup")
-        for name, row in ab_report["phases"].items():
-            print(
-                f"{name:<{width}}  {row['base_median']:>10.4f}  "
-                f"{row['cand_median']:>10.4f}  {row['speedup']:>6.2f}x"
-            )
-        print()
     if args.baseline is not None and args.baseline.exists():
         before = json.loads(args.baseline.read_text())
         before_phases = before.get("phases", before)

@@ -20,12 +20,9 @@ Quick start (the :mod:`repro.api` facade)::
     print(placed.critical_delay, "->", result.final_delay)
 
 The lower-level building blocks (schemes, embedder, legalizer, router)
-remain importable from their subpackages; ``repro.optimize_replication``
-is a deprecated alias of :func:`repro.api.optimize`'s core —
-use the facade (or :func:`repro.core.flow.optimize_replication`).
+remain importable from their subpackages, e.g. the flow's core entry
+point :func:`repro.core.flow.optimize_replication`.
 """
-
-import warnings as _warnings
 
 from repro.arch import ElmoreDelayModel, FpgaArch, LinearDelayModel
 from repro.core import (
@@ -42,7 +39,6 @@ from repro.core import (
     scheme_by_name,
 )
 from repro.core.config import RunConfig
-from repro.core.flow import optimize_replication as _optimize_replication
 from repro.netlist import Netlist, check_equivalence, validate_netlist
 from repro.place import (
     Placement,
@@ -72,21 +68,6 @@ from repro.api import (
 )
 
 __version__ = "1.1.0"
-
-
-def optimize_replication(netlist, placement, config=None):
-    """Deprecated alias of :func:`repro.core.flow.optimize_replication`.
-
-    Kept so pre-facade callers keep working; new code should use
-    :func:`repro.api.optimize` (or import the core function directly).
-    """
-    _warnings.warn(
-        "repro.optimize_replication is deprecated; use repro.api.optimize "
-        "(or repro.core.flow.optimize_replication)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _optimize_replication(netlist, placement, config)
 
 __all__ = [
     "Design",
@@ -124,7 +105,6 @@ __all__ = [
     "check_equivalence",
     "delay_lower_bound",
     "legalize_placement",
-    "optimize_replication",
     "place_timing_driven",
     "place_wirelength_driven",
     "route_infinite",

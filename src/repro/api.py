@@ -147,22 +147,13 @@ class OptimizeResult:
 
 @dataclass
 class RouteResult:
-    """Outcome of :func:`route`: routed timing at two channel widths.
-
-    ``engine``/``kernel``/``search`` record which router engine,
-    negotiation kernel and uniform-regime search engine actually
-    produced the result (the *resolved* names — never ``"auto"``), so
-    run artifacts are attributable.
-    """
+    """Outcome of :func:`route`: routed timing at two channel widths."""
 
     w_inf: float
     w_ls: float
     channel_width: int
     wirelength: int
     seconds: float = 0.0
-    engine: str = "fast"
-    kernel: str = "scalar"
-    search: str = "heap"
 
 
 @dataclass
@@ -347,34 +338,19 @@ def route(
     placement: Placement,
     *,
     jobs: int = 1,
-    engine: str = "fast",
-    wmin_engine: str = "fast",
     start_width: int | None = None,
-    route_kernel: str | None = None,
-    route_search: str | None = None,
 ) -> RouteResult:
     """Low-stress + infinite routing with routed-timing STA.
 
-    ``wmin_engine``/``start_width``/``jobs`` tune the W_min search (see
-    :func:`repro.route.find_min_channel_width`), ``route_kernel``
-    selects the fast engine's negotiation kernel
-    (``scalar``/``vector``/``auto``) and ``route_search`` its
-    uniform-regime search engine (``heap``/``wavefront``/``auto``); the
-    reported metrics are identical for every setting.
+    ``start_width``/``jobs`` tune the W_min search (see
+    :func:`repro.route.find_min_channel_width`); the reported metrics
+    are identical for every setting.
     """
-    from repro.route.kernels import resolve_kernel
-    from repro.route.wavefront import resolve_search
-
     start = time.perf_counter()
     low = route_low_stress(
-        design.netlist, placement, engine=engine,
-        wmin_engine=wmin_engine, jobs=jobs, start_width=start_width,
-        kernel=route_kernel, search=route_search,
+        design.netlist, placement, jobs=jobs, start_width=start_width
     )
-    infinite = route_infinite(
-        design.netlist, placement, engine=engine, jobs=jobs,
-        kernel=route_kernel, search=route_search,
-    )
+    infinite = route_infinite(design.netlist, placement, jobs=jobs)
     w_ls = routed_critical_delay(design.netlist, placement, low)
     w_inf = routed_critical_delay(design.netlist, placement, infinite)
     return RouteResult(
@@ -383,9 +359,6 @@ def route(
         channel_width=low.channel_width,
         wirelength=w_ls.wirelength,
         seconds=time.perf_counter() - start,
-        engine=engine,
-        kernel=resolve_kernel(route_kernel).name if engine == "fast" else "none",
-        search=resolve_search(route_search) if engine == "fast" else "none",
     )
 
 
@@ -470,9 +443,6 @@ def campaign_run(
     retries: int = 2,
     backoff: float = 0.5,
     route_jobs: int = 1,
-    wmin_engine: str = "fast",
-    route_kernel: str | None = None,
-    route_search: str | None = None,
     perf: bool = False,
     trace: bool = False,
     faults: dict[str, int] | None = None,
@@ -514,9 +484,6 @@ def campaign_run(
         scale=scale,
         effort=effort,
         route_jobs=route_jobs,
-        wmin_engine=wmin_engine,
-        route_kernel=route_kernel,
-        route_search=route_search,
         jobs=jobs,
         timeout=timeout,
         retries=retries,

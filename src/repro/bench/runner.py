@@ -69,13 +69,6 @@ class BaselineRun:
     total_blocks: int
     density: float
     place_route_seconds: float
-    #: Provenance: which W_min search engine, negotiation kernel and
-    #: uniform-regime search produced the routing numbers (kernel and
-    #: search are the *resolved* names, never "auto").  Defaults match
-    #: payloads recorded before these fields existed.
-    wmin_engine: str = "fast"
-    route_kernel: str = "scalar"
-    route_search: str = "heap"
 
     def to_dict(self, store_refs: tuple[str, str] | None = None) -> dict:
         """JSON-ready round-trip payload (exact: ids and dict orders).
@@ -106,9 +99,6 @@ class BaselineRun:
             "total_blocks": self.total_blocks,
             "density": self.density,
             "place_route_seconds": self.place_route_seconds,
-            "wmin_engine": self.wmin_engine,
-            "route_kernel": self.route_kernel,
-            "route_search": self.route_search,
         }
         if store_refs is None:
             data["netlist"] = netlist_to_dict(self.netlist)
@@ -151,9 +141,6 @@ class BaselineRun:
             total_blocks=data["total_blocks"],
             density=data["density"],
             place_route_seconds=data["place_route_seconds"],
-            wmin_engine=data.get("wmin_engine", "fast"),
-            route_kernel=data.get("route_kernel", "scalar"),
-            route_search=data.get("route_search", "heap"),
         )
 
 
@@ -171,11 +158,6 @@ class VariantRun:
     unified: int = 0
     seconds: float = 0.0
     history: list = field(default_factory=list)
-    #: Resolved negotiation kernel and search engine that re-routed this
-    #: variant (never "auto"); defaults match payloads recorded before
-    #: the fields existed.
-    route_kernel: str = "scalar"
-    route_search: str = "heap"
 
     def to_dict(self) -> dict:
         """JSON-ready round-trip payload (floats survive exactly)."""
@@ -190,8 +172,6 @@ class VariantRun:
             "unified": self.unified,
             "seconds": self.seconds,
             "history": [record_to_dict(record) for record in self.history],
-            "route_kernel": self.route_kernel,
-            "route_search": self.route_search,
         }
 
     @classmethod
@@ -207,8 +187,6 @@ class VariantRun:
             unified=data["unified"],
             seconds=data["seconds"],
             history=[record_from_dict(record) for record in data["history"]],
-            route_kernel=data.get("route_kernel", "scalar"),
-            route_search=data.get("route_search", "heap"),
         )
 
 
@@ -218,17 +196,13 @@ def run_vpr_baseline(
     seed: int = 0,
     inner_scale: float = 0.25,
     route_jobs: int = 1,
-    wmin_engine: str = "fast",
     start_width: int | None = None,
-    route_kernel: str | None = None,
-    route_search: str | None = None,
     netlist_store: str | None = None,
 ) -> BaselineRun:
     """Generate, place (timing-driven SA) and route one suite circuit.
 
-    ``wmin_engine``/``start_width``/``route_kernel``/``route_search``
-    tune the W_min search and router only — the measured width is
-    identical for every setting (``start_width`` typically comes from a
+    ``start_width`` warm-starts the W_min search only — the measured
+    width is identical for every hint (it typically comes from a
     previous run's cache, see ``--run-dir``).
 
     ``netlist_store`` loads the circuit from (streaming it into, on
@@ -237,9 +211,6 @@ def run_vpr_baseline(
     netlist, so placement and routing run on the flat vectors directly.
     All measured numbers are identical to the in-memory path.
     """
-    from repro.route.kernels import resolve_kernel
-    from repro.route.wavefront import resolve_search
-
     start = time.perf_counter()
     if netlist_store is not None:
         from repro.bench.suite import ensure_suite_design
@@ -255,18 +226,10 @@ def run_vpr_baseline(
         netlist, arch, seed=seed, inner_scale=inner_scale
     )
     min_width = find_min_channel_width(
-        netlist, placement,
-        wmin_engine=wmin_engine, jobs=route_jobs, start_width=start_width,
-        kernel=route_kernel, search=route_search,
+        netlist, placement, jobs=route_jobs, start_width=start_width
     )
-    low = route_low_stress(
-        netlist, placement, min_width=min_width, kernel=route_kernel,
-        search=route_search,
-    )
-    infinite = route_infinite(
-        netlist, placement, jobs=route_jobs, kernel=route_kernel,
-        search=route_search,
-    )
+    low = route_low_stress(netlist, placement, min_width=min_width)
+    infinite = route_infinite(netlist, placement, jobs=route_jobs)
     elapsed = time.perf_counter() - start
 
     w_ls = routed_critical_delay(netlist, placement, low).critical_delay
@@ -285,9 +248,6 @@ def run_vpr_baseline(
         total_blocks=netlist.num_cells,
         density=arch.density(netlist.num_logic_blocks),
         place_route_seconds=elapsed,
-        wmin_engine=wmin_engine,
-        route_kernel=resolve_kernel(route_kernel).name,
-        route_search=resolve_search(route_search),
     )
 
 
@@ -316,13 +276,8 @@ def run_variant(
     batch_sinks: int = 1,
     jobs: int = 1,
     route_jobs: int = 1,
-    route_kernel: str | None = None,
-    route_search: str | None = None,
 ) -> VariantRun:
     """Run one optimization algorithm against a baseline and re-route."""
-    from repro.route.kernels import resolve_kernel
-    from repro.route.wavefront import resolve_search
-
     netlist = baseline.netlist.clone()
     placement = baseline.placement.copy()
     start = time.perf_counter()
@@ -340,14 +295,8 @@ def run_variant(
         history = opt.history
     seconds = time.perf_counter() - start
 
-    low = route_low_stress(
-        netlist, placement, min_width=baseline.min_width, kernel=route_kernel,
-        search=route_search,
-    )
-    infinite = route_infinite(
-        netlist, placement, jobs=route_jobs, kernel=route_kernel,
-        search=route_search,
-    )
+    low = route_low_stress(netlist, placement, min_width=baseline.min_width)
+    infinite = route_infinite(netlist, placement, jobs=route_jobs)
     w_ls = routed_critical_delay(netlist, placement, low).critical_delay
     w_inf = routed_critical_delay(netlist, placement, infinite).critical_delay
     return VariantRun(
@@ -363,8 +312,6 @@ def run_variant(
         unified=unified,
         seconds=seconds,
         history=history,
-        route_kernel=resolve_kernel(route_kernel).name,
-        route_search=resolve_search(route_search),
     )
 
 
@@ -375,8 +322,6 @@ def run_matrix(
     *,
     effort: float = 1.0,
     seed: int = 0,
-    route_kernel: str | None = None,
-    route_search: str | None = None,
 ) -> dict[str, list[VariantRun]]:
     """The sequential circuits×algorithms loop of table2/table3.
 
@@ -390,10 +335,7 @@ def run_matrix(
         baseline = make_baseline(name)
         for algorithm in algorithms:
             runs[algorithm].append(
-                run_variant(
-                    baseline, algorithm, effort=effort, seed=seed,
-                    route_kernel=route_kernel, route_search=route_search,
-                )
+                run_variant(baseline, algorithm, effort=effort, seed=seed)
             )
     return runs
 
@@ -433,10 +375,9 @@ def wmin_cache_key(name: str, scale: float, seed: int) -> str:
 def open_wmin_cache(run_dir: str):
     """The durable W_min warm-start cache of a run/campaign directory.
 
-    Lives in the directory's ``campaign.sqlite`` store (the cache was
-    promoted there from an ad-hoc ``wmin.json``, which is still imported
-    on first open), so warm starts survive restarts and are shared with
-    any campaign run out of the same directory.
+    Lives in the directory's ``campaign.sqlite`` store, so warm starts
+    survive restarts and are shared with any campaign run out of the
+    same directory.
     """
     from repro.campaign.store import CampaignStore
 
@@ -486,26 +427,6 @@ def main(argv: list[str] | None = None) -> int:
         help="worker processes for W-infinity routing (bit-identical results)",
     )
     parser.add_argument(
-        "--wmin-engine",
-        choices=("fast", "reference"),
-        default="fast",
-        help="W_min search strategy (identical widths either way)",
-    )
-    parser.add_argument(
-        "--route-kernel",
-        choices=("auto", "scalar", "vector"),
-        default="auto",
-        help="negotiation kernel for the fast router "
-        "(bit-identical results; auto = vector when numpy is available)",
-    )
-    parser.add_argument(
-        "--route-search",
-        choices=("auto", "heap", "wavefront"),
-        default="auto",
-        help="uniform-regime search engine for the fast router "
-        "(bit-identical results; auto = wavefront when numpy is available)",
-    )
-    parser.add_argument(
         "--run-dir",
         default=None,
         metavar="DIR",
@@ -549,10 +470,7 @@ def main(argv: list[str] | None = None) -> int:
             scale=args.scale,
             seed=args.seed,
             route_jobs=args.route_jobs,
-            wmin_engine=args.wmin_engine,
             start_width=wmin_cache.wmin_get(key) if wmin_cache else None,
-            route_kernel=args.route_kernel,
-            route_search=args.route_search,
             netlist_store=args.netlist_store,
         )
         if wmin_cache is not None:
@@ -567,9 +485,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.experiment == "table3" and args.algorithms == "local,rt,lex-3":
             algorithms = ["rt", "lex-mc", "lex-2", "lex-3", "lex-4", "lex-5"]
         runs = run_matrix(
-            names, algorithms, make_baseline, effort=args.effort,
-            seed=args.seed, route_kernel=args.route_kernel,
-            route_search=args.route_search,
+            names, algorithms, make_baseline, effort=args.effort, seed=args.seed
         )
         if args.experiment == "table2":
             print(tables.format_table2(runs, scale=args.scale))
@@ -577,11 +493,7 @@ def main(argv: list[str] | None = None) -> int:
             print(tables.format_table3(runs, scale=args.scale))
     elif args.experiment == "fig14":
         baseline = make_baseline("ex1010")
-        run = run_variant(
-            baseline, "rt", effort=args.effort, seed=args.seed,
-            route_kernel=args.route_kernel,
-            route_search=args.route_search,
-        )
+        run = run_variant(baseline, "rt", effort=args.effort, seed=args.seed)
         print(tables.format_fig14(run, scale=args.scale))
     elif args.experiment == "overhead":
         # The overhead experiment is the perf-observability entry point:
@@ -601,8 +513,6 @@ def main(argv: list[str] | None = None) -> int:
                 batch_sinks=args.batch_sinks,
                 jobs=args.jobs,
                 route_jobs=args.route_jobs,
-                route_kernel=args.route_kernel,
-                route_search=args.route_search,
             )
             total_pr += baseline.place_route_seconds
             total_opt += run.seconds

@@ -68,6 +68,12 @@ class Task:
         )
 
 
+#: Router-variant keys that configs stored before routing had one
+#: implementation carry; no variant ever changed a result, so reading a
+#: stored config drops them.
+_RETIRED_KEYS = ("wmin_engine", "route_kernel", "route_search")
+
+
 @dataclass
 class CampaignConfig:
     """Everything a campaign needs to (re)execute its matrix.
@@ -95,9 +101,6 @@ class CampaignConfig:
     scale: float = 0.08
     effort: float = 1.0
     route_jobs: int = 1
-    wmin_engine: str = "fast"
-    route_kernel: str | None = None
-    route_search: str | None = None
     jobs: int = 1
     timeout: float | None = None
     retries: int = 2
@@ -128,7 +131,7 @@ class CampaignConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignConfig":
-        return cls(**data)
+        return cls(**{k: v for k, v in data.items() if k not in _RETIRED_KEYS})
 
     @property
     def max_attempts(self) -> int:

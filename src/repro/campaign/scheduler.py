@@ -91,10 +91,7 @@ def execute_task(payload: dict) -> dict:
                 scale=task["scale"],
                 seed=task["seed"],
                 route_jobs=payload.get("route_jobs", 1),
-                wmin_engine=payload.get("wmin_engine", "fast"),
                 start_width=payload.get("start_width"),
-                route_kernel=payload.get("route_kernel"),
-                route_search=payload.get("route_search"),
                 netlist_store=store_path,
             )
             if store_path is None:
@@ -127,8 +124,6 @@ def execute_task(payload: dict) -> dict:
             effort=payload.get("effort", 1.0),
             seed=task["seed"],
             route_jobs=payload.get("route_jobs", 1),
-            route_kernel=payload.get("route_kernel"),
-            route_search=payload.get("route_search"),
         )
         return run.to_dict()
     finally:
@@ -387,9 +382,6 @@ class CampaignScheduler:
             "attempt": attempt,
             "effort": config.effort,
             "route_jobs": config.route_jobs,
-            "wmin_engine": config.wmin_engine,
-            "route_kernel": config.route_kernel,
-            "route_search": config.route_search,
             "perf": config.perf,
             "trace": config.trace,
             "campaign_dir": str(self.campaign_dir),

@@ -6,9 +6,8 @@ readers can share it while workers run.  One row per task carries the
 full lifecycle: status, attempt count, wall seconds, the result payload
 as JSON (a :class:`BaselineRun`/:class:`VariantRun` round-trip dict) and
 the traceback of the last failure.  The ``meta`` table stores the
-campaign config; the ``wmin`` table is the W_min warm-start cache,
-promoted here from the benchmark runner's ad-hoc ``wmin.json`` so warm
-starts survive restarts (legacy files are imported on open).
+campaign config; the ``wmin`` table is the W_min warm-start cache, so
+warm starts survive restarts.
 
 Two deliberate structural choices keep the durability story simple:
 
@@ -24,7 +23,6 @@ Two deliberate structural choices keep the durability story simple:
 from __future__ import annotations
 
 import json
-import os
 import sqlite3
 import time
 from contextlib import contextmanager
@@ -34,9 +32,6 @@ from repro.campaign.model import Task
 from repro.paths import ensure_parent_dir
 
 STORE_FILE = "campaign.sqlite"
-
-#: Legacy per-run-dir wmin cache file (pre-campaign JSON format).
-LEGACY_WMIN_FILE = "wmin.json"
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -99,7 +94,6 @@ class CampaignStore:
             conn.executescript(_SCHEMA)
             for extension in self.SCHEMA_EXTENSIONS:
                 conn.executescript(extension)
-        self._import_legacy_wmin()
 
     @contextmanager
     def _connect(self):
@@ -333,20 +327,3 @@ class CampaignStore:
                 row["key"]: row["width"]
                 for row in conn.execute("SELECT key, width FROM wmin")
             }
-
-    def _import_legacy_wmin(self) -> None:
-        """One-time import of a pre-campaign ``wmin.json`` cache file."""
-        legacy = self.path.parent / LEGACY_WMIN_FILE
-        if not legacy.exists():
-            return
-        try:
-            data = json.loads(legacy.read_text())
-        except (OSError, ValueError):
-            return
-        for key, width in data.items():
-            if isinstance(width, int) and self.wmin_get(key) is None:
-                self.wmin_set(key, width)
-        try:
-            os.replace(legacy, legacy.with_suffix(".json.imported"))
-        except OSError:
-            pass

@@ -7,6 +7,8 @@ Subcommands::
     repro bench      forward to the benchmark runner (tables/figures)
     repro resume     continue a checkpointed run directory
     repro trace-view summarize a Chrome trace produced by --trace
+    repro campaign   durable experiment matrix (run/resume/status/report)
+    repro netlist    build or inspect a shared netlist store
     repro serve      run the replication service daemon
     repro submit     submit a job to a running service
     repro jobs       list/inspect/cancel jobs on a running service
@@ -20,8 +22,8 @@ Examples::
     python -m repro trace-view runs/t1/trace.json
     python -m repro bench table2 --scale 0.08 --algorithms rt,lex-3
 
-The pre-1.1 flat form (``python -m repro --circuit tseng ...``) still
-works: it is rewritten to ``run`` with a deprecation notice on stderr.
+Every invocation names a subcommand; a bare flag such as
+``python -m repro --circuit tseng`` is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -39,11 +41,6 @@ from repro.core.config import RunConfig
 from repro.perf import PERF
 from repro.trace import summarize_trace
 from repro.viz import render_history, render_placement
-
-LEGACY_NOTICE = (
-    "repro: flat flags are deprecated; use 'python -m repro run ...' "
-    "(rewriting to the 'run' subcommand)"
-)
 
 #: Exit codes: user errors get distinct nonzero codes and a one-line
 #: stderr message — never a traceback.
@@ -117,14 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--route-jobs", type=int, default=1, dest="route_jobs",
                      help="worker processes for W-infinity routing "
                      "(results are bit-identical for any value)")
-    run.add_argument("--route-kernel", choices=("auto", "scalar", "vector"),
-                     default="auto", dest="route_kernel",
-                     help="negotiation kernel for the fast router "
-                     "(bit-identical results; auto = vector with numpy)")
-    run.add_argument("--route-search", choices=("auto", "heap", "wavefront"),
-                     default="auto", dest="route_search",
-                     help="uniform-regime search engine for the fast router "
-                     "(bit-identical results; auto = wavefront with numpy)")
     run.add_argument("--run-dir", type=Path,
                      help="run directory: journal.jsonl, checkpoint.json, "
                      "trace.json, result.json")
@@ -144,22 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
     route = sub.add_parser("route", help="route a placement, report timing")
     _add_input_arguments(route)
     route.add_argument("--route-jobs", type=int, default=1, dest="route_jobs")
-    route.add_argument("--wmin-engine", choices=("fast", "reference"),
-                       default="fast", dest="wmin_engine",
-                       help="W_min search strategy: warm-started fast engine "
-                       "or the cold reference bisection (identical widths)")
     route.add_argument("--start-width", type=int, default=None,
                        dest="start_width", metavar="W",
                        help="warm-start the W_min search at this width "
                        "(e.g. a prior run's result; never changes the answer)")
-    route.add_argument("--route-kernel", choices=("auto", "scalar", "vector"),
-                       default="auto", dest="route_kernel",
-                       help="negotiation kernel for the fast router "
-                       "(bit-identical results; auto = vector with numpy)")
-    route.add_argument("--route-search", choices=("auto", "heap", "wavefront"),
-                       default="auto", dest="route_search",
-                       help="uniform-regime search engine for the fast router "
-                       "(bit-identical results; auto = wavefront with numpy)")
     route.set_defaults(func=cmd_route)
 
     bench = sub.add_parser(
@@ -212,12 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     crun.add_argument("--backoff", type=float, default=0.5, metavar="S",
                       help="base retry delay; doubles per attempt")
     crun.add_argument("--route-jobs", type=int, default=1, dest="route_jobs")
-    crun.add_argument("--wmin-engine", choices=("fast", "reference"),
-                      default="fast", dest="wmin_engine")
-    crun.add_argument("--route-kernel", choices=("auto", "scalar", "vector"),
-                      default="auto", dest="route_kernel")
-    crun.add_argument("--route-search", choices=("auto", "heap", "wavefront"),
-                      default="auto", dest="route_search")
     crun.add_argument("--perf", action="store_true",
                       help="per-task perf snapshots into DIR/perf/")
     crun.add_argument("--trace", action="store_true",
@@ -455,11 +426,7 @@ def cmd_run(args) -> int:
         if args.perf and not PERF.enabled:
             PERF.reset()
             PERF.enable()
-        routed = api.route(
-            design, placement, jobs=args.route_jobs,
-            route_kernel=args.route_kernel,
-            route_search=args.route_search,
-        )
+        routed = api.route(design, placement, jobs=args.route_jobs)
         _print_routing(routed)
         if args.run_dir is not None:
             _record_route_result(args.run_dir, routed)
@@ -488,9 +455,7 @@ def cmd_route(args) -> int:
     design, placed = _load_and_place(args)
     _print_routing(api.route(
         design, placed.placement, jobs=args.route_jobs,
-        wmin_engine=args.wmin_engine, start_width=args.start_width,
-        route_kernel=args.route_kernel,
-        route_search=args.route_search,
+        start_width=args.start_width,
     ))
     return 0
 
@@ -499,14 +464,12 @@ def _print_routing(routed: api.RouteResult) -> None:
     print(
         f"routed: W_inf {routed.w_inf:.2f}  "
         f"W_ls {routed.w_ls:.2f} (W={routed.channel_width:g})  "
-        f"wire {routed.wirelength}  "
-        f"[{routed.engine}/{routed.kernel}/{routed.search}]"
+        f"wire {routed.wirelength}"
     )
 
 
 def _record_route_result(run_dir: Path, routed: api.RouteResult) -> None:
-    """Merge routing metrics + engine/kernel/search provenance into
-    result.json."""
+    """Merge the routing metrics into result.json."""
     path = Path(run_dir) / api.RESULT_FILE
     try:
         payload = json.loads(path.read_text())
@@ -518,9 +481,6 @@ def _record_route_result(run_dir: Path, routed: api.RouteResult) -> None:
         "channel_width": routed.channel_width,
         "wirelength": routed.wirelength,
         "seconds": round(routed.seconds, 3),
-        "engine": routed.engine,
-        "kernel": routed.kernel,
-        "search": routed.search,
     }
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -669,9 +629,6 @@ def cmd_campaign_run(args) -> int:
             retries=args.retries,
             backoff=args.backoff,
             route_jobs=args.route_jobs,
-            wmin_engine=args.wmin_engine,
-            route_kernel=args.route_kernel,
-            route_search=args.route_search,
             perf=args.perf,
             trace=args.trace,
             netlist_store=args.netlist_store,
@@ -897,12 +854,6 @@ def cmd_jobs(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
-        # Pre-1.1 flat invocation: python -m repro --circuit tseng ...
-        print(LEGACY_NOTICE, file=sys.stderr)
-        argv = ["run", *argv]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -8,32 +8,20 @@ from repro.route.metrics import (
     routed_critical_delay,
 )
 from repro.route.pathfinder import NetRoute, RoutingResult, route_design
-from repro.route.rrgraph import (
-    IndexedRoutingGraph,
-    RoutingGraph,
-    Segment,
-    segment,
-)
-from repro.route.wmin import (
-    demand_lower_bound,
-    find_min_channel_width_fast,
-    galloping_bisect,
-)
+from repro.route.rrgraph import IndexedRoutingGraph, Segment
+from repro.route.wmin import demand_lower_bound, find_min_channel_width_fast
 
 __all__ = [
     "IndexedRoutingGraph",
     "NetRoute",
     "RoutedTiming",
-    "RoutingGraph",
     "RoutingResult",
     "Segment",
     "demand_lower_bound",
     "find_min_channel_width",
     "find_min_channel_width_fast",
-    "galloping_bisect",
     "route_design",
     "route_infinite",
     "route_low_stress",
     "routed_critical_delay",
-    "segment",
 ]

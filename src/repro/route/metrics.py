@@ -19,7 +19,7 @@ from repro.netlist.netlist import Netlist
 from repro.perf import PERF
 from repro.place.placement import Placement
 from repro.route.pathfinder import RoutingResult, route_design
-from repro.route.wmin import find_min_channel_width_fast, galloping_bisect
+from repro.route.wmin import find_min_channel_width_fast
 
 
 @dataclass
@@ -35,55 +35,26 @@ def find_min_channel_width(
     placement: Placement,
     max_width: int = 128,
     max_iterations: int = 16,
-    engine: str = "fast",
-    wmin_engine: str = "fast",
     jobs: int = 1,
     start_width: int | None = None,
-    kernel: str | None = None,
-    search: str | None = None,
 ) -> int:
     """Smallest routable channel width, per the reference probe protocol.
 
-    ``wmin_engine`` selects the *search* strategy (both return the same
-    width):
-
-    * ``"reference"`` — cold galloping bisection: a from-scratch
-      negotiation at every probed width.
-    * ``"fast"`` — the warm-started, bound-pruned, speculative engine in
-      :mod:`repro.route.wmin`; ``jobs > 1`` probes speculatively in
-      parallel and ``start_width`` seeds the search with a prior result
-      (e.g. this circuit's width from an earlier run), both without
-      affecting the returned width.
-
-    ``engine`` still selects the per-width *router* (fast/reference
-    PathFinder), ``kernel`` the fast router's negotiation kernel
-    (scalar/vector) and ``search`` its uniform-regime search engine
-    (heap/wavefront) — all bit-identical results, independently of the
-    search strategy.
+    Runs the warm-started, bound-pruned, speculative search in
+    :mod:`repro.route.wmin`; ``jobs > 1`` probes speculatively in
+    parallel and ``start_width`` seeds the search with a prior result
+    (e.g. this circuit's width from an earlier run), both without
+    affecting the returned width.
     """
     with PERF.timer("route.wmin"):
-        if wmin_engine == "fast":
-            return find_min_channel_width_fast(
-                netlist,
-                placement,
-                max_width=max_width,
-                max_iterations=max_iterations,
-                engine=engine,
-                jobs=jobs,
-                start_width=start_width,
-                kernel=kernel,
-                search=search,
-            )
-        if wmin_engine != "reference":
-            raise ValueError(f"unknown wmin engine: {wmin_engine!r}")
-
-        def success_at(width: int) -> bool:
-            return route_design(
-                netlist, placement, width, max_iterations, engine=engine,
-                kernel=kernel, search=search,
-            ).success
-
-        return galloping_bisect(success_at, max_width)
+        return find_min_channel_width_fast(
+            netlist,
+            placement,
+            max_width=max_width,
+            max_iterations=max_iterations,
+            jobs=jobs,
+            start_width=start_width,
+        )
 
 
 def route_low_stress(
@@ -91,45 +62,30 @@ def route_low_stress(
     placement: Placement,
     min_width: int | None = None,
     stress_margin: float = 0.2,
-    engine: str = "fast",
-    wmin_engine: str = "fast",
     jobs: int = 1,
     start_width: int | None = None,
-    kernel: str | None = None,
-    search: str | None = None,
 ) -> RoutingResult:
     """Route with ~20% spare tracks over the minimum ([18]'s low stress)."""
     if min_width is None:
         min_width = find_min_channel_width(
-            netlist, placement, engine=engine, wmin_engine=wmin_engine,
-            jobs=jobs, start_width=start_width, kernel=kernel, search=search,
+            netlist, placement, jobs=jobs, start_width=start_width
         )
     width = max(min_width + 1, math.ceil(min_width * (1.0 + stress_margin)))
     with PERF.timer("route.lowstress"):
-        return route_design(
-            netlist, placement, width, engine=engine, kernel=kernel,
-            search=search,
-        )
+        return route_design(netlist, placement, width)
 
 
 def route_infinite(
-    netlist: Netlist,
-    placement: Placement,
-    engine: str = "fast",
-    jobs: int = 1,
-    kernel: str | None = None,
-    search: str | None = None,
+    netlist: Netlist, placement: Placement, jobs: int = 1
 ) -> RoutingResult:
     """Route with unbounded resources (every net on a shortest tree).
 
     ``jobs > 1`` fans the (independent) per-net searches out across
-    worker processes; results are bit-identical for any job count (and
-    for either ``kernel`` or ``search``).
+    worker processes; results are bit-identical for any job count.
     """
     with PERF.timer("route.winf"):
         return route_design(
-            netlist, placement, math.inf, max_iterations=1,
-            engine=engine, jobs=jobs, kernel=kernel, search=search,
+            netlist, placement, math.inf, max_iterations=1, jobs=jobs
         )
 
 

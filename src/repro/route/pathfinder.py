@@ -12,29 +12,27 @@ infinite-resource routing ``W∞`` — every net routes on its shortest
 tree, no congestion — which [18] argues is a good placement-evaluation
 metric; a finite width gives the low-stress ``W_ls`` protocol.
 
-Two engines implement the identical routing semantics:
+The router runs on the integer-indexed
+:class:`~repro.route.rrgraph.IndexedRoutingGraph`: per-sink heap searches
+expand over CSR neighbour arrays inside a bounding window that grows on
+failure, congested iterations read a per-iteration priced cost vector
+and use an admissible Manhattan-distance A* lookahead, and negotiation
+after the first iteration is *incremental* — only nets crossing an
+over-used segment are ripped up and re-routed, every other route tree is
+reused in place.  The congestion-free ``W∞`` protocol can additionally
+fan out across worker processes (``jobs > 1``) with a deterministic
+net-order merge.
 
-* ``engine="fast"`` (default) runs on the integer-indexed
-  :class:`~repro.route.rrgraph.IndexedRoutingGraph`: per-sink searches
-  expand over CSR neighbour arrays inside a bounding window that grows
-  on failure, congested iterations use an admissible Manhattan-distance
-  A* lookahead, and negotiation after the first iteration is
-  *incremental* — only nets crossing an over-used segment are ripped up
-  and re-routed, every other route tree is reused in place.  The
-  congestion-free ``W∞`` protocol can additionally fan out across
-  worker processes (``jobs > 1``) with a deterministic net-order merge.
-* ``engine="reference"`` is the original dataclass-keyed router, kept
-  as the parity oracle.
-
-**Parity.**  Under ``W∞`` (and any uniform-cost search: no over-use, no
-history) every edge costs the same ``crit + (1-crit) * 1.0`` step, so
-the fast engine drops the lookahead weight to zero and becomes an exact
-replay of the reference Dijkstra: integer slot ids are assigned in
-ascending ``Slot``-tuple order, so the ``(cost, id)`` heap pops in the
-reference's ``(cost, slot)`` order, the same ``1e-12``
-strict-improvement rule applies, and neighbours are probed in the same
-(+x, -x, +y, -y) order.  W∞ results are therefore bit-identical —
-segments, per-net wirelength and sink hops — which
+**Parity.**  The original tuple-keyed router is kept as a parity oracle
+in ``tests/route/oracle.py``.  Under ``W∞`` (and any uniform-cost
+search: no over-use, no history) every edge costs the same
+``crit + (1-crit) * 1.0`` step, so the lookahead weight drops to zero
+and the search becomes an exact replay of the reference Dijkstra:
+integer slot ids are assigned in ascending ``Slot``-tuple order, so the
+``(cost, id)`` heap pops in the reference's ``(cost, slot)`` order, the
+same ``1e-12`` strict-improvement rule applies, and neighbours are
+probed in the same (+x, -x, +y, -y) order.  W∞ results are therefore
+bit-identical — segments, per-net wirelength and sink hops — which
 ``tests/route/test_parity.py`` enforces.  (Bounding the search window
 is exact here: every optimal parent chain in a uniform-cost grid is a
 monotone staircase between two points of the tree∪target bounding box,
@@ -42,14 +40,14 @@ so no node outside the window can appear on, or parent into, a realized
 route.)  Congested iterations are where A* actually prunes; there the
 heuristics (lookahead tie-breaking, bounded windows, incremental
 rip-up) can steer negotiation onto a different — very occasionally
-worse — trajectory.  The fast engine therefore *never reports failure
-on its own authority*: if the heuristic schedule ends with residual
-over-use, it re-runs once in **exact mode** (lookahead off, full-grid
-windows, full re-route every iteration), which replays the reference
-engine decision-for-decision.  Consequently the fast engine fails at a
-channel width only if the reference engine also fails there, and the
-negotiated minimum channel width is never worse than the reference
-router's (property-tested in ``tests/route/test_parity.py``).
+worse — trajectory.  The router therefore *never reports failure on its
+own authority*: if the heuristic schedule ends with residual over-use,
+it re-runs once in **exact mode** (lookahead off, full-grid windows,
+full re-route every iteration), which replays the reference router
+decision-for-decision.  Consequently the router fails at a channel
+width only if the reference router also fails there, and the negotiated
+minimum channel width is never worse than the reference router's
+(property-tested in ``tests/route/test_parity.py``).
 """
 
 from __future__ import annotations
@@ -63,17 +61,7 @@ from repro.arch.fpga import FpgaArch, Slot
 from repro.netlist.netlist import Netlist
 from repro.perf import PERF
 from repro.place.placement import Placement
-from repro.route.rrgraph import (
-    IndexedRoutingGraph,
-    RoutingGraph,
-    Segment,
-    segment,
-)
-from repro.route.wavefront import (
-    _LANES as _BATCH_GROUP,
-    resolve_search,
-    route_nets_uniform,
-)
+from repro.route.rrgraph import IndexedRoutingGraph, Segment
 
 
 @dataclass
@@ -111,10 +99,7 @@ def route_design(
     present_factor: float = 0.5,
     present_growth: float = 1.6,
     timing_driven: bool = True,
-    engine: str = "fast",
     jobs: int = 1,
-    kernel: str | None = None,
-    search: str | None = None,
 ) -> RoutingResult:
     """Route every net; negotiate congestion until legal or give up.
 
@@ -124,38 +109,17 @@ def route_design(
     sink's placement-level criticality — so critical connections route
     near-directly instead of detouring through shared Steiner trunks.
 
-    ``engine`` selects the indexed fast router (default) or the
-    reference oracle; ``jobs > 1`` parallelizes the congestion-free
-    ``W∞`` protocol across worker processes (ignored for finite widths,
-    where negotiation is inherently order-dependent; results are
-    bit-identical for any job count).  ``kernel`` selects the batched
-    negotiation kernel (``"scalar"``/``"vector"``; ``None``/``"auto"``
-    picks vector when NumPy is available) — results are bit-identical
-    either way (see :mod:`repro.route.kernels`); the reference engine
-    has no kernels and ignores the knob.  ``search`` selects the
-    per-net search engine for uniform-cost regimes
-    (``"heap"``/``"wavefront"``; ``None``/``"auto"`` picks wavefront
-    when NumPy is available) — likewise bit-identical (see
-    :mod:`repro.route.wavefront`); congested searches always run the
-    heap loop, and the reference engine ignores the knob.
+    ``jobs > 1`` parallelizes the congestion-free ``W∞`` protocol
+    across worker processes (ignored for finite widths, where
+    negotiation is inherently order-dependent; results are
+    bit-identical for any job count).
     """
     nets = _routable_nets(netlist, placement, timing_driven)
-    if engine == "reference":
-        return _route_design_reference(
-            placement.arch, nets, channel_width,
-            max_iterations, present_factor, present_growth,
-        )
-    if engine != "fast":
-        raise ValueError(f"unknown routing engine {engine!r}")
-    search = resolve_search(search)
     if jobs > 1 and math.isinf(channel_width):
-        return _route_winf_parallel(
-            placement.arch, nets, jobs, max_iterations, search=search
-        )
+        return _route_winf_parallel(placement.arch, nets, jobs, max_iterations)
     return _route_design_fast(
         placement.arch, nets, channel_width,
-        max_iterations, present_factor, present_growth, kernel=kernel,
-        search=search,
+        max_iterations, present_factor, present_growth,
     )
 
 
@@ -214,144 +178,7 @@ def _tree_hops(route: NetRoute, source: Slot, sinks: set[Slot]) -> dict[Slot, in
 
 
 # ======================================================================
-# Reference engine (parity oracle — keep byte-for-byte stable)
-# ======================================================================
-
-
-def _route_design_reference(
-    arch: FpgaArch,
-    nets: list[tuple[int, Slot, list[Slot], dict[Slot, float]]],
-    channel_width: float,
-    max_iterations: int,
-    present_factor: float,
-    present_growth: float,
-) -> RoutingResult:
-    graph = RoutingGraph(arch, channel_width)
-    routes: dict[int, NetRoute] = {}
-
-    pres = present_factor
-    iterations = 0
-    for iteration in range(1, max_iterations + 1):
-        iterations = iteration
-        for net_id, source, sinks, crits in nets:
-            old = routes.pop(net_id, None)
-            if old is not None:
-                for seg in old.segments:
-                    graph.release(seg)
-            routes[net_id] = _route_net_reference(
-                graph, net_id, source, sinks, pres, crits
-            )
-            for seg in routes[net_id].segments:
-                graph.occupy(seg)
-        if graph.total_overuse() == 0:
-            break
-        graph.accrue_history()
-        pres *= present_growth
-    success = graph.total_overuse() == 0
-    return RoutingResult(
-        success=success,
-        iterations=iterations,
-        channel_width=channel_width,
-        routes=routes,
-        total_wirelength=graph.total_wirelength(),
-        remaining_overuse=graph.total_overuse(),
-    )
-
-
-def _route_net_reference(
-    graph: RoutingGraph,
-    net_id: int,
-    source: Slot,
-    sinks: list[Slot],
-    present_factor: float,
-    criticality: dict[Slot, float] | None = None,
-) -> NetRoute:
-    """Grow the net's route tree sink by sink, most critical first.
-
-    For a sink with criticality ``c`` the expansion cost per segment is
-    ``c + (1 - c) * congestion`` and the wavefront is seeded with each
-    tree node's hop distance from the source scaled by ``c`` — a critical
-    sink therefore prefers a short *source-to-sink* path over merely
-    hugging the existing trunk (VPR's timing-driven routing trade-off).
-    """
-    criticality = criticality or {}
-    route = NetRoute(net_id=net_id, source=source)
-    tree: set[Slot] = {source}
-    tree_segments: set[Segment] = set()
-    hops_from_source: dict[Slot, int] = {source: 0}
-    remaining = sorted(sinks, key=lambda s: (-criticality.get(s, 0.0), s))
-
-    for target in remaining:
-        if target in tree:
-            continue
-        crit = criticality.get(target, 0.0)
-        came_from = _dijkstra_to_target(
-            graph, tree, target, present_factor, crit, hops_from_source
-        )
-        if came_from is None:
-            break  # disconnected graph (cannot happen on grids)
-        parents = came_from
-        cursor = target
-        path = [cursor]
-        while cursor not in tree:
-            parent = parents[cursor]
-            seg = segment(parent, cursor)
-            if seg not in tree_segments:
-                tree_segments.add(seg)
-                route.segments.append(seg)
-            cursor = parent
-            path.append(cursor)
-        # ``cursor`` is the attachment point; fill hop distances forward.
-        base = hops_from_source[cursor]
-        for offset, slot in enumerate(reversed(path)):
-            hops_from_source.setdefault(slot, base + offset)
-            tree.add(slot)
-
-    route.sink_hops = _tree_hops(route, source, set(sinks))
-    return route
-
-
-def _dijkstra_to_target(
-    graph: RoutingGraph,
-    tree: set[Slot],
-    target: Slot,
-    present_factor: float,
-    crit: float,
-    hops_from_source: dict[Slot, int],
-):
-    """Cheapest blended-cost path from the route tree to ``target``.
-
-    Seeds carry ``crit * hops_from_source`` so that, for critical sinks,
-    attaching deep in the tree is correctly charged for the source-side
-    delay it implies.
-    """
-    heap: list[tuple[float, Slot]] = []
-    best: dict[Slot, float] = {}
-    for slot in tree:
-        seed = crit * hops_from_source.get(slot, 0)
-        if seed < best.get(slot, math.inf):
-            best[slot] = seed
-            heappush(heap, (seed, slot))
-    parents: dict[Slot, Slot] = {}
-    while heap:
-        cost, slot = heappop(heap)
-        if cost > best.get(slot, math.inf):
-            continue
-        if slot == target:
-            return parents
-        for neighbour in graph.neighbours(slot):
-            congestion = graph.congestion_cost(segment(slot, neighbour), present_factor)
-            step = crit + (1.0 - crit) * congestion
-            new_cost = cost + step
-            if new_cost < best.get(neighbour, math.inf) - 1e-12:
-                best[neighbour] = new_cost
-                parents[neighbour] = slot
-                heappush(heap, (new_cost, neighbour))
-    return None
-
-
-# ======================================================================
-# Fast engine: indexed graph, A* lookahead, incremental negotiation
+# Indexed search: A* lookahead, incremental negotiation
 # ======================================================================
 
 
@@ -360,11 +187,6 @@ def _dijkstra_to_target(
 #: get a wider berth (tuned on the benchmark suite's W_min).
 _UNIFORM_MARGIN = 1
 _CONGESTED_MARGIN = 3
-#: Diagnostic switches (used by parity experiments/tests): disable the
-#: A* lookahead (falling back to reference Dijkstra pop order) or the
-#: incremental rip-up (full re-route every iteration).
-_LOOKAHEAD = True
-_INCREMENTAL = True
 
 
 class _SearchState:
@@ -409,15 +231,15 @@ def _search_to_target(
 ) -> bool:
     """One tree-to-sink search; returns True when ``target`` was reached.
 
-    The wavefront is confined to ``bbox`` (grown by the caller on
+    The search is confined to ``bbox`` (grown by the caller on
     failure).  When the graph currently has neither over-use nor history
     — every edge costs the uniform ``crit + (1-crit)`` step — the
     lookahead weight is zero and this is an exact replay of the
     reference Dijkstra (see module docstring); otherwise an admissible
     Manhattan lookahead (per-hop floor, deflated by 1e-12 against float
     round-up) prunes the expansion toward the sink.  Congested searches
-    read per-segment congestion from the graph's kernel-priced cost
-    cache (``ig.seg_cost``), which the caller must have refreshed at the
+    read per-segment congestion from the graph's priced cost cache
+    (``ig.seg_cost``), which the caller must have refreshed at the
     current present-sharing factor.
 
     ``ub`` is an optional incumbent upper bound on the target's final
@@ -439,11 +261,7 @@ def _search_to_target(
     # Admissible per-hop floor: every edge costs >= crit + (1-crit)*1.0
     # (congestion cost is >= 1.0 always); the 1e-12 deflation keeps the
     # Manhattan product a strict lower bound under float round-up.
-    hfac = (
-        0.0
-        if uniform or exact or not _LOOKAHEAD
-        else (crit + one_minus) * (1.0 - 1e-12)
-    )
+    hfac = 0.0 if uniform or exact else (crit + one_minus) * (1.0 - 1e-12)
     push = heappush
     pop = heappop
 
@@ -607,7 +425,7 @@ def _route_net_fast(
     old_segs: list[int] | None = None,
 ) -> list[int]:
     """Route one net over the indexed graph; returns segment ids in
-    append order (the reference engine's walk-back order).
+    append order (the reference router's walk-back order).
 
     ``exact`` disables the congested-regime heuristics (A* lookahead and
     bounded windows) so every search replays the reference Dijkstra.
@@ -668,7 +486,7 @@ def _route_net_fast(
             else:
                 margin = _CONGESTED_MARGIN
                 window = (wx0 - margin, wx1 + margin, wy0 - margin, wy1 + margin)
-            # Congested searches read the kernel-priced cost cache;
+            # Congested searches read the priced cost cache;
             # refresh lazily if stale (first congested net of an
             # iteration, or a mid-iteration uniform→congested flip).
             if ig.seg_cost is None or ig._cost_pres != present_factor:
@@ -735,6 +553,12 @@ def _route_net_fast(
     return segments
 
 
+def _ripup_targets(ig: IndexedRoutingGraph, items, routes: dict[int, list[int]]):
+    """Nets whose current route crosses an over-used segment."""
+    flags = ig.overuse_flags()
+    return [item for item in items if any(flags[s] for s in routes[item[0]])]
+
+
 def _build_net_route(
     ig: IndexedRoutingGraph,
     net_id: int,
@@ -760,11 +584,8 @@ def _route_design_fast(
     present_factor: float,
     present_growth: float,
     exact: bool = False,
-    kernel: str | None = None,
-    search: str = "heap",
 ) -> RoutingResult:
-    ig = IndexedRoutingGraph(arch, channel_width, kernel)
-    kern = ig.kernel
+    ig = IndexedRoutingGraph(arch, channel_width)
     state = _SearchState(ig.num_slots, ig.num_segments)
     index = ig.slot_index
     items = [
@@ -793,72 +614,20 @@ def _route_design_fast(
         else:
             # Incremental negotiation: rip up and re-route only nets
             # crossing an over-used segment; every other tree is reused.
-            # Both the overuse mask and the net-crossing test are one
-            # batched kernel call each.
-            over_flag = kern.overuse_flags(ig.usage, ig.channel_width)
-            targets = kern.select_targets(items, seg_routes, over_flag)
+            targets = _ripup_targets(ig, items, seg_routes)
             ripped += len(targets)
         with PERF.timer("route.negotiate"):
             if not ig.uniform_cost():
                 ig.refresh_costs(pres)
-            # Uniform-regime batch: wavefront searches read no occupancy
-            # or history, so upcoming targets can be solved ahead of the
-            # commit loop in array lanes.  Groups are sized so the
-            # lookahead is *waste-free*: a net's tree uses a segment at
-            # most once, so while the next ``size`` nets commit no
-            # segment can climb from ``max(usage)`` to capacity when
-            # ``size`` stays below that headroom — the regime provably
-            # cannot flip inside the group and every computed search is
-            # committed.  When the safe headroom gets too small to
-            # amortize a lane batch, the remaining nets fall through to
-            # the heap loop; the per-commit uniform re-check stays as
-            # the semantic guard, so routes remain bit-identical to the
-            # heap loop either way.
-            batch: dict | None = (
-                {} if search == "wavefront" and not exact else None
-            )
-            batch_edge = 0
-            for idx, (net_id, src, sink_ids, crit_ids) in enumerate(targets):
+            for net_id, src, sink_ids, crit_ids in targets:
                 old = seg_routes.get(net_id)
                 if old is not None:
                     for s in old:
                         ig.release(s)
-                if (
-                    batch is not None
-                    and idx >= batch_edge
-                    and ig.uniform_cost()
-                ):
-                    width = ig.channel_width
-                    if width == math.inf:
-                        size = _BATCH_GROUP
-                    else:
-                        # Largest integer usage still below capacity
-                        # (capacity test is ``used >= width``, usage is
-                        # integral), minus the current peak usage.
-                        below = (
-                            int(width) - 1
-                            if width == int(width)
-                            else math.floor(width)
-                        )
-                        size = below - (max(ig.usage) if ig.usage else 0)
-                    if size >= 16:
-                        group = targets[idx:idx + min(size, _BATCH_GROUP)]
-                        batch.update(
-                            zip(
-                                (t[0] for t in group),
-                                route_nets_uniform(ig, group),
-                            )
-                        )
-                        batch_edge = idx + len(group)
-                    else:
-                        batch = None
-                if batch is not None and idx < batch_edge and ig.uniform_cost():
-                    segs = batch[net_id]
-                else:
-                    segs = _route_net_fast(
-                        ig, state, net_id, src, sink_ids, pres, crit_ids,
-                        exact, old_segs=old,
-                    )
+                segs = _route_net_fast(
+                    ig, state, net_id, src, sink_ids, pres, crit_ids,
+                    exact, old_segs=old,
+                )
                 seg_routes[net_id] = segs
                 routed += 1
                 for s in segs:
@@ -870,7 +639,7 @@ def _route_design_fast(
         # strictly improving, negotiation has wedged on the reduced
         # move set, so the next iteration re-routes everything (the
         # reference schedule) to let congestion-free nets shift too.
-        full_reroute = exact or not _INCREMENTAL or (
+        full_reroute = exact or (
             prev_overuse is not None and overuse >= prev_overuse
         )
         prev_overuse = overuse
@@ -891,7 +660,6 @@ def _route_design_fast(
         return _route_design_fast(
             arch, nets, channel_width,
             max_iterations, present_factor, present_growth, exact=True,
-            kernel=kern.name, search=search,
         )
 
     routes = {
@@ -930,48 +698,29 @@ def _winf_worker(payload):
     each net exactly as the serial engine would — parallelism decides
     who computes a route, never what it is.
     """
-    arch, chunk, search = payload
+    arch, chunk = payload
     ig = IndexedRoutingGraph(arch, math.inf)
     index = ig.slot_index
-    counters: dict[str, int] = {}
-    if search == "wavefront":
-        items = [
-            (
-                net_id,
-                index[source],
-                [index[s] for s in sinks],
-                {index[s]: c for s, c in crits.items()},
-            )
-            for net_id, source, sinks, crits in chunk
-        ]
-        seg_lists = route_nets_uniform(ig, items, counters=counters)
-        out = [
-            _build_net_route(ig, net_id, source, sinks, segs)
-            for (net_id, source, sinks, _c), segs in zip(chunk, seg_lists)
-        ]
-    else:
-        state = _SearchState(ig.num_slots, ig.num_segments)
-        out = []
-        for net_id, source, sinks, crits in chunk:
-            segs = _route_net_fast(
-                ig,
-                state,
-                net_id,
-                index[source],
-                [index[s] for s in sinks],
-                0.5,
-                {index[s]: c for s, c in crits.items()},
-            )
-            out.append(_build_net_route(ig, net_id, source, sinks, segs))
-        counters.update(
-            {
-                "route.search_pops": state.pops,
-                "route.search_pushes": state.pushes,
-                "route.search_stale": state.stale,
-                "route.bbox_retries": state.retries,
-            }
+    state = _SearchState(ig.num_slots, ig.num_segments)
+    out = []
+    for net_id, source, sinks, crits in chunk:
+        segs = _route_net_fast(
+            ig,
+            state,
+            net_id,
+            index[source],
+            [index[s] for s in sinks],
+            0.5,
+            {index[s]: c for s, c in crits.items()},
         )
-    counters["route.nets_routed"] = len(out)
+        out.append(_build_net_route(ig, net_id, source, sinks, segs))
+    counters = {
+        "route.search_pops": state.pops,
+        "route.search_pushes": state.pushes,
+        "route.search_stale": state.stale,
+        "route.bbox_retries": state.retries,
+        "route.nets_routed": len(out),
+    }
     return out, counters
 
 
@@ -980,15 +729,12 @@ def _route_winf_parallel(
     nets: list[tuple[int, Slot, list[Slot], dict[Slot, float]]],
     jobs: int,
     max_iterations: int,
-    search: str = "heap",
 ) -> RoutingResult:
     chunk_size = max(1, -(-len(nets) // jobs))
     chunks = [nets[i : i + chunk_size] for i in range(0, len(nets), chunk_size)]
     by_net: dict[int, NetRoute] = {}
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(_winf_worker, (arch, chunk, search)) for chunk in chunks
-        ]
+        futures = [pool.submit(_winf_worker, (arch, chunk)) for chunk in chunks]
         for future in futures:
             chunk_routes, counters = future.result()
             for route in chunk_routes:

@@ -13,103 +13,22 @@ This preserves exactly what the paper measures post-route: congestion
 and routed critical path — while staying small enough to run a 20-circuit
 suite in Python.
 
-Two representations live here:
-
-* :class:`RoutingGraph` — the original dataclass-keyed graph (``Slot``
-  tuples, ``Segment`` dict keys).  It remains the substrate of the
-  reference PathFinder engine and the oracle the fast engine's parity
-  tests compare against.
-* :class:`IndexedRoutingGraph` — the hot-path representation: every slot
-  and every channel segment gets a dense integer id, adjacency is a CSR
-  (``array``-backed) neighbour list carrying the edge's segment id, and
-  occupancy / history / coordinates are flat vectors indexed by those
-  ids.  The router's inner search loop therefore never hashes a tuple.
-  Cost arithmetic is expression-for-expression identical to
-  :meth:`RoutingGraph.congestion_cost`, so searches over either
-  representation price a segment bit-identically.
+Every slot and every channel segment gets a dense integer id, adjacency
+is a CSR (``array``-backed) neighbour list carrying the edge's segment
+id, and occupancy / history / coordinates are flat vectors indexed by
+those ids, so the router's inner search loop never hashes a tuple.  The
+tuple-keyed reference graph the router is parity-tested against lives
+in ``tests/route/oracle.py``.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import defaultdict
 
 from repro.arch.fpga import FpgaArch, Slot
-from repro.route.kernels import resolve_kernel
 
 #: A channel segment between two adjacent slots, canonically ordered.
 Segment = tuple[Slot, Slot]
-
-
-def segment(a: Slot, b: Slot) -> Segment:
-    """Canonical (order-independent) key for the channel between a and b."""
-    return (a, b) if a <= b else (b, a)
-
-
-class RoutingGraph:
-    """Grid routing graph with per-segment occupancy and history costs."""
-
-    def __init__(self, arch: FpgaArch, channel_width: float) -> None:
-        self.arch = arch
-        self.channel_width = channel_width
-        self._neighbours: dict[Slot, list[Slot]] = {}
-        self.usage: dict[Segment, int] = defaultdict(int)
-        self.history: dict[Segment, float] = defaultdict(float)
-
-        slots = set(arch.logic_slots()) | set(arch.pad_slots())
-        for slot in slots:
-            x, y = slot
-            self._neighbours[slot] = [
-                n
-                for n in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
-                if n in slots
-            ]
-
-    def neighbours(self, slot: Slot) -> list[Slot]:
-        return self._neighbours[slot]
-
-    def slots(self) -> list[Slot]:
-        return sorted(self._neighbours)
-
-    # ------------------------------------------------------------------
-    # Occupancy
-    # ------------------------------------------------------------------
-
-    def occupy(self, seg: Segment) -> None:
-        self.usage[seg] += 1
-
-    def release(self, seg: Segment) -> None:
-        self.usage[seg] -= 1
-        if self.usage[seg] <= 0:
-            del self.usage[seg]
-
-    def overuse(self, seg: Segment) -> int:
-        over = self.usage.get(seg, 0) - self.channel_width
-        return int(over) if over > 0 else 0
-
-    def total_overuse(self) -> int:
-        return sum(
-            int(used - self.channel_width)
-            for used in self.usage.values()
-            if used > self.channel_width
-        )
-
-    def total_wirelength(self) -> int:
-        """Total occupied segments (with multiplicity) — routed wire."""
-        return sum(self.usage.values())
-
-    def congestion_cost(self, seg: Segment, present_factor: float) -> float:
-        """PathFinder cost of using one more track of this segment."""
-        base = 1.0
-        present = self.usage.get(seg, 0)
-        over = max(0.0, present + 1 - self.channel_width)
-        return (base + self.history.get(seg, 0.0)) * (1.0 + present_factor * over)
-
-    def accrue_history(self, increment: float = 1.0) -> None:
-        """Add history cost on every currently over-used segment."""
-        for seg, used in self.usage.items():
-            if used > self.channel_width:
-                self.history[seg] += increment * (used - self.channel_width)
 
 
 class IndexedRoutingGraph:
@@ -117,7 +36,7 @@ class IndexedRoutingGraph:
 
     Slots are numbered ``0..num_slots-1`` in ascending ``Slot``-tuple
     order, so integer-id comparisons reproduce the tuple tie-breaks of
-    the reference engine exactly.  Channel segments are numbered in
+    the reference router exactly.  Channel segments are numbered in
     ascending canonical ``(a, b)`` order for the same reason.
 
     Attributes:
@@ -127,26 +46,21 @@ class IndexedRoutingGraph:
         nbr_ptr: CSR row pointer — slot ``i``'s edges occupy
             ``nbr_ptr[i]:nbr_ptr[i+1]`` of ``nbr_slot``/``nbr_seg``.
         nbr_slot: Neighbour slot id per CSR edge, in the reference
-            engine's probe order (+x, -x, +y, -y).
+            router's probe order (+x, -x, +y, -y).
         nbr_seg: Segment id per CSR edge (one id per unordered pair).
         seg_slots: Canonical ``(Slot, Slot)`` tuple per segment id, for
             converting integer routes back to the public representation.
         seg_u / seg_v: Endpoint slot ids per segment id (for walking a
             route's segments as a graph without tuple lookups).
         usage / history: Per-segment occupancy and PathFinder history.
-        kernel: The negotiation kernel (scalar or vector) used for the
-            per-iteration batched pricing/masking work.
         seg_cost: The per-segment congestion-cost cache for the current
             negotiation iteration (``None`` when stale); see
             :meth:`refresh_costs`.
     """
 
-    def __init__(
-        self, arch: FpgaArch, channel_width: float, kernel: str | None = None
-    ) -> None:
+    def __init__(self, arch: FpgaArch, channel_width: float) -> None:
         self.arch = arch
         self.channel_width = channel_width
-        self.kernel = resolve_kernel(kernel)
 
         slot_set = set(arch.logic_slots()) | set(arch.pad_slots())
         slots = sorted(slot_set)
@@ -170,7 +84,7 @@ class IndexedRoutingGraph:
         self.seg_u = array("i", (self.slot_index[a] for a, _b in seg_slots))
         self.seg_v = array("i", (self.slot_index[b] for _a, b in seg_slots))
 
-        # CSR adjacency, neighbour probe order matching RoutingGraph.
+        # CSR adjacency, neighbour probe order (+x, -x, +y, -y).
         index = self.slot_index
         nbr_ptr = array("i", [0] * (self.num_slots + 1))
         nbr_slot = array("i")
@@ -270,36 +184,46 @@ class IndexedRoutingGraph:
         return self._wirelength
 
     def congestion_cost(self, seg_id: int, present_factor: float) -> float:
-        """Same arithmetic as :meth:`RoutingGraph.congestion_cost`."""
+        """PathFinder cost of using one more track of this segment."""
         over = self.usage[seg_id] + 1 - self.channel_width
         if over < 0.0:
             over = 0.0
         return (1.0 + self.history[seg_id]) * (1.0 + present_factor * over)
 
     def refresh_costs(self, present_factor: float) -> list[float]:
-        """(Re)price every segment at ``present_factor`` via the kernel.
+        """(Re)price every segment at ``present_factor``.
 
         The resulting vector is cached in :attr:`seg_cost`; subsequent
         :meth:`occupy`/:meth:`release` calls keep the touched entry
-        up to date with the identical two-branch scalar formula, so the
-        cache is always exactly what a fresh kernel pricing would
-        produce.  :meth:`accrue_history` invalidates it (history changes
-        every over-used segment at once — cheaper to re-vectorize).
+        up to date with the same two-branch formula, so the cache always
+        equals :meth:`congestion_cost` of every segment.
+        :meth:`accrue_history` invalidates it (history changes every
+        over-used segment at once — cheaper to re-price).
         """
+        width = self.channel_width
         self._cost_pres = present_factor
-        self.seg_cost = self.kernel.congestion_costs(
-            self.usage, self.history, self.channel_width, present_factor
-        )
+        self.seg_cost = [
+            (1.0 + h) * (1.0 + present_factor * over)
+            if (over := used + 1 - width) > 0.0
+            else 1.0 + h
+            for used, h in zip(self.usage, self.history)
+        ]
         return self.seg_cost
 
     def accrue_history(self, increment: float = 1.0) -> None:
         """Add history cost on every currently over-used segment."""
-        if self.kernel.accrue_history(
-            self.usage, self.history, self.channel_width, increment
-        ):
+        width = self.channel_width
+        history = self.history
+        accrued = False
+        for s, used in enumerate(self.usage):
+            if used > width:
+                history[s] += increment * (used - width)
+                accrued = True
+        if accrued:
             self.has_history = True
         self.seg_cost = None
 
-    def overused_segments(self) -> list[int]:
-        """Segment ids currently over capacity (for incremental rip-up)."""
-        return self.kernel.overused_segments(self.usage, self.channel_width)
+    def overuse_flags(self) -> bytearray:
+        """One byte per segment: 1 where the segment is over capacity."""
+        width = self.channel_width
+        return bytearray(used > width for used in self.usage)

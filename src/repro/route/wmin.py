@@ -32,8 +32,8 @@ around four ideas:
    makes — cheap, success probes converge fast), while the expensive
    failure side at ``candidate - 1`` is replaced by a **replay-verified
    pair** — the candidate's solution is independently re-verified to be
-   legal (usage rebuilt from the routes, overuse recomputed by the
-   kernel), and a *full-effort* probe (plateau abort disabled) seeded
+   legal (usage rebuilt from the routes, overuse recomputed from it),
+   and a *full-effort* probe (plateau abort disabled) seeded
    from the pristine ``W∞`` solution with no history replays the
    descent to ``candidate - 1``.  The history-free seed is deliberate:
    it is the trajectory closest to the cold probe the replay stands in
@@ -46,9 +46,11 @@ around four ideas:
    makes, and enforced empirically by the width-equality suites.  Any
    observable mismatch (verification failure, or the candidate failing
    its cold probe) falls back to full cold probes, so the returned
-   width matches :func:`galloping_bisect` over the cold oracle —
-   including its quirk of raising when ``W_min`` exceeds the largest
-   power-of-two gallop probe ``<= max_width``.
+   width matches the reference protocol — galloping bisection over cold
+   ``route_design`` probes, kept as a parity oracle in
+   ``tests/route/oracle.py`` — including its quirk of raising when
+   ``W_min`` exceeds the largest power-of-two gallop probe
+   ``<= max_width``.
 
 4. **Speculative parallel bisection.**  With ``jobs > 1`` each round
    probes ``mid`` in-process and, concurrently on a worker, the flanking
@@ -74,14 +76,13 @@ from repro.netlist.netlist import Netlist
 from repro.perf import PERF
 from repro.place.placement import Placement
 from repro.route.pathfinder import (
+    _ripup_targets,
     _routable_nets,
     _route_design_fast,
-    _route_design_reference,
     _route_net_fast,
     _SearchState,
 )
 from repro.route.rrgraph import IndexedRoutingGraph
-from repro.route.wavefront import resolve_search, route_nets_uniform
 
 #: Negotiation constants — must match ``route_design``'s defaults so the
 #: cold confirmation probes replay the reference protocol exactly.
@@ -99,37 +100,8 @@ NetItem = tuple[int, Slot, list[Slot], dict[Slot, float]]
 
 
 # ----------------------------------------------------------------------
-# Reference protocol skeleton (shared with metrics.find_min_channel_width)
+# Reference protocol boundary
 # ----------------------------------------------------------------------
-
-
-def galloping_bisect(success_at, max_width: int) -> int:
-    """The reference W_min protocol: gallop 1, 2, 4, ... then bisect.
-
-    ``success_at(width) -> bool`` probes one channel width.  This is the
-    original ``find_min_channel_width`` control flow factored out so a
-    synthetic oracle can property-test it: assuming routability is
-    monotone in width, it returns the exact boundary, and it raises
-    ``RuntimeError`` when every galloped width up to ``max_width``
-    fails (so a boundary above the largest power-of-two probe
-    ``<= max_width`` raises).
-    """
-    low, high = 1, 1
-    while high <= max_width:
-        if success_at(high):
-            break
-        low = high + 1
-        high *= 2
-    else:
-        raise RuntimeError(f"unroutable even at channel width {max_width}")
-    # Invariant: high routes, widths below low fail.
-    while low < high:
-        mid = (low + high) // 2
-        if success_at(mid):
-            high = mid
-        else:
-            low = mid + 1
-    return high
 
 
 def _gallop_ceiling(max_width: int) -> int:
@@ -239,27 +211,9 @@ def _indexed_items(ig: IndexedRoutingGraph, nets: list[NetItem]):
 
 
 def _route_winf(
-    ig: IndexedRoutingGraph, items, search: str = "heap"
+    ig: IndexedRoutingGraph, items
 ) -> tuple[dict[int, list[int]], int]:
     """Route every net congestion-free; returns routes + peak demand."""
-    if search == "wavefront":
-        seg_lists = route_nets_uniform(ig, items)
-        routes = {
-            net_id: segs
-            for (net_id, _s, _k, _c), segs in zip(items, seg_lists)
-        }
-        # Batched occupy: at infinite width no segment ever reaches
-        # capacity and no cost vector is cached, so `occupy` reduces to
-        # the usage bump + wirelength count — done inline without the
-        # per-segment method dispatch.
-        usage = ig.usage
-        total = 0
-        for segs in seg_lists:
-            for s in segs:
-                usage[s] += 1
-            total += len(segs)
-        ig._wirelength += total
-        return routes, (max(usage) if usage else 0)
     state = _SearchState(ig.num_slots, ig.num_segments)
     routes = {}
     for net_id, source, sinks, crits in items:
@@ -282,7 +236,6 @@ def _warm_probe(
     seg_routes: dict[int, list[int]],
     history: list[float] | None,
     max_iterations: int,
-    kernel: str | None = None,
     full_effort: bool = False,
 ):
     """Negotiate ``width`` starting from a prior solution + decayed history.
@@ -290,15 +243,14 @@ def _warm_probe(
     Installs the seed routes, rips up only the nets crossing segments
     that are over-used at the new width, and negotiates incrementally; a
     plateau of :data:`_PLATEAU_ABORT` non-improving iterations aborts
-    the probe (after one full re-route attempt, mirroring the fast
-    engine's wedge recovery).  With ``full_effort`` the plateau abort is
+    the probe (after one full re-route attempt, mirroring the router's
+    wedge recovery).  With ``full_effort`` the plateau abort is
     disabled and all ``max_iterations`` are spent (the replay-verified
     confirmation's failure-side probe).  Returns ``(success, routes,
     history, iterations, aborted, counters)``; the routes/history of a
     successful probe seed the next one.
     """
-    ig = IndexedRoutingGraph(arch, width, kernel)
-    kern = ig.kernel
+    ig = IndexedRoutingGraph(arch, width)
     state = _SearchState(ig.num_slots, ig.num_segments)
     if history is not None:
         decayed = [h * _HISTORY_DECAY for h in history]
@@ -322,8 +274,7 @@ def _warm_probe(
         if full_reroute:
             targets = items
         else:
-            over_flag = kern.overuse_flags(ig.usage, ig.channel_width)
-            targets = kern.select_targets(items, routes, over_flag)
+            targets = _ripup_targets(ig, items, routes)
         if not ig.uniform_cost():
             ig.refresh_costs(pres)
         for net_id, source, sink_ids, crit_ids in targets:
@@ -367,27 +318,24 @@ def _warm_probe(
 
 def _warm_probe_worker(payload):
     """Worker-process wrapper for speculative warm probes."""
-    arch, items, width, seg_routes, history, max_iterations, kernel = payload
-    return _warm_probe(
-        arch, items, width, seg_routes, history, max_iterations, kernel
-    )
+    return _warm_probe(*payload)
 
 
 def _verify_solution(
-    num_segments: int, routes: dict[int, list[int]], width: float, kern
+    num_segments: int, routes: dict[int, list[int]], width: float
 ) -> bool:
     """Independently re-check that a solution is legal at ``width``.
 
     Rebuilds the per-segment usage vector from the routes alone (no
-    incremental bookkeeping is trusted) and asks the kernel for the
-    total overuse — the replay-verification half of the confirmation
+    incremental bookkeeping is trusted) and checks that no segment is
+    over-used — the replay-verification half of the confirmation
     protocol.
     """
     usage = [0] * num_segments
     for segs in routes.values():
         for s in segs:
             usage[s] += 1
-    return kern.total_overuse(usage, width) == 0
+    return max(usage, default=0) <= width
 
 
 # ----------------------------------------------------------------------
@@ -396,32 +344,18 @@ def _verify_solution(
 
 
 def _cold_probe(
-    arch: FpgaArch,
-    nets: list[NetItem],
-    width: int,
-    max_iterations: int,
-    engine: str,
-    kernel: str | None = None,
-    search: str = "heap",
+    arch: FpgaArch, nets: list[NetItem], width: int, max_iterations: int
 ) -> bool:
-    """One full-effort cold probe — the same engine call, on the same
+    """One full-effort cold probe — the same router call, on the same
     deterministic net list, that ``route_design`` would make, so the
     verdict matches the reference protocol's probe at this width."""
-    if engine == "reference":
-        result = _route_design_reference(
-            arch, nets, width, max_iterations, _PRESENT_FACTOR, _PRESENT_GROWTH
-        )
-    else:
-        result = _route_design_fast(
-            arch, nets, width, max_iterations, _PRESENT_FACTOR, _PRESENT_GROWTH,
-            kernel=kernel, search=search,
-        )
-    return result.success
+    return _route_design_fast(
+        arch, nets, width, max_iterations, _PRESENT_FACTOR, _PRESENT_GROWTH
+    ).success
 
 
 def _cold_probe_worker(payload) -> bool:
-    arch, nets, width, max_iterations, engine, kernel, search = payload
-    return _cold_probe(arch, nets, width, max_iterations, engine, kernel, search)
+    return _cold_probe(*payload)
 
 
 # ----------------------------------------------------------------------
@@ -434,30 +368,22 @@ def find_min_channel_width_fast(
     placement: Placement,
     max_width: int = 128,
     max_iterations: int = 16,
-    engine: str = "fast",
     jobs: int = 1,
     start_width: int | None = None,
-    kernel: str | None = None,
-    search: str | None = None,
 ) -> int:
     """Warm-started, bound-pruned, speculative W_min search.
 
     Returns the same width as the reference galloping bisection (under
-    its own monotone-routability assumption), for any ``jobs`` count,
-    any ``start_width`` hint, either negotiation ``kernel`` and either
-    ``search`` engine; see the module docstring for the protocol.  The
-    wavefront search batches the uniform regimes (the W∞ seed route and
-    every probe's congestion-free prefix); warm probes start from an
-    occupied, history-laden graph, so they always run the heap loop —
-    a performance split only, never a result split.
+    its own monotone-routability assumption), for any ``jobs`` count
+    and any ``start_width`` hint; see the module docstring for the
+    protocol.
     """
-    search = resolve_search(search)
     arch = placement.arch
     nets = _routable_nets(netlist, placement, True)
     ceiling = _gallop_ceiling(max_width)
     if not nets:
         return 1  # reference: the width-1 probe trivially succeeds
-    template = IndexedRoutingGraph(arch, math.inf, kernel)
+    template = IndexedRoutingGraph(arch, math.inf)
     lower = demand_lower_bound(template, nets)
     if PERF.enabled:
         PERF.add("route.wmin.searches")
@@ -475,8 +401,7 @@ def find_min_channel_width_fast(
             if width not in cold_cache:
                 with PERF.timer("route.wmin.confirm"):
                     cold_cache[width] = _cold_probe(
-                        arch, nets, width, max_iterations, engine, kernel,
-                        search,
+                        arch, nets, width, max_iterations
                     )
                 if PERF.enabled:
                     PERF.add("route.wmin.cold_probes")
@@ -491,8 +416,7 @@ def find_min_channel_width_fast(
                 and below >= lower
             ):
                 future = pool.submit(
-                    _cold_probe_worker,
-                    (arch, nets, below, max_iterations, engine, kernel, search),
+                    _cold_probe_worker, (arch, nets, below, max_iterations)
                 )
                 ok = cold(width)
                 with PERF.timer("route.wmin.confirm"):
@@ -530,7 +454,7 @@ def find_min_channel_width_fast(
             with PERF.timer("route.wmin.replay"):
                 ok, routes, hist, _iters, _aborted, counters = _warm_probe(
                     arch, items, width, seed_routes, seed_hist,
-                    max_iterations, kernel, full_effort=True,
+                    max_iterations, full_effort=True,
                 )
             if PERF.enabled:
                 counters = dict(counters)
@@ -546,7 +470,7 @@ def find_min_channel_width_fast(
         # The W∞ solution seeds both the hint check and the warm search.
         with PERF.timer("route.wmin.winf"):
             items = _indexed_items(template, nets)
-            warm_routes, peak = _route_winf(template, items, search)
+            warm_routes, peak = _route_winf(template, items)
         warm_hist: list[float] | None = None
         # Pristine W∞ snapshot: probe seeds are never mutated (each probe
         # copies them), so holding the reference is enough.  The
@@ -587,8 +511,7 @@ def find_min_channel_width_fast(
                 hi = peak  # the W∞ solution itself is legal at this width
             else:
                 success, routes, hist, _iters, _aborted, counters = _warm_probe(
-                    arch, items, ceiling, warm_routes, None, max_iterations,
-                    kernel,
+                    arch, items, ceiling, warm_routes, None, max_iterations
                 )
                 if PERF.enabled:
                     PERF.merge_counts(counters)
@@ -620,13 +543,13 @@ def find_min_channel_width_fast(
                                 pool.submit(
                                     _warm_probe_worker,
                                     (arch, items, flank, warm_routes,
-                                     warm_hist, max_iterations, kernel),
+                                     warm_hist, max_iterations),
                                 ),
                             )
                         success, routes, hist, _iters, _aborted, counters = (
                             _warm_probe(
                                 arch, items, mid, warm_routes, warm_hist,
-                                max_iterations, kernel,
+                                max_iterations,
                             )
                         )
                         if PERF.enabled:
@@ -681,8 +604,7 @@ def find_min_channel_width_fast(
                         return candidate
                     break  # cold gallop decides below
                 if not _verify_solution(
-                    template.num_segments, warm_routes, candidate,
-                    template.kernel,
+                    template.num_segments, warm_routes, candidate
                 ):
                     if PERF.enabled:
                         PERF.add("route.wmin.verify_failures")

@@ -57,9 +57,6 @@ CAMPAIGN_DEFAULTS = {
     "retries": 2,
     "backoff": 0.5,
     "route_jobs": 1,
-    "wmin_engine": "fast",
-    "route_kernel": None,
-    "route_search": None,
 }
 
 
@@ -246,9 +243,6 @@ def _execute_place_route(
             "w_ls": routed.w_ls,
             "channel_width": routed.channel_width,
             "wirelength": routed.wirelength,
-            "engine": routed.engine,
-            "kernel": routed.kernel,
-            "search": routed.search,
         }
     result["seconds"] = round(time.perf_counter() - start, 3)
     text = _write_result_file(run_dir, result)
@@ -281,9 +275,6 @@ def _execute_optimize(config: dict, run_dir: Path) -> str:
             "w_ls": routed.w_ls,
             "channel_width": routed.channel_width,
             "wirelength": routed.wirelength,
-            "engine": routed.engine,
-            "kernel": routed.kernel,
-            "search": routed.search,
         }
     payload["seconds"] = round(time.perf_counter() - start, 3)
     return _write_result_file(run_dir, payload)
@@ -313,9 +304,6 @@ def _execute_campaign(config: dict, run_dir: Path, journal: FlowJournal) -> str:
             retries=config["retries"],
             backoff=config["backoff"],
             route_jobs=config["route_jobs"],
-            wmin_engine=config["wmin_engine"],
-            route_kernel=config["route_kernel"],
-            route_search=config["route_search"],
         )
     result = {
         "kind": "campaign",

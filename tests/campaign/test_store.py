@@ -1,17 +1,12 @@
-"""Durable store: WAL mode, lifecycle transitions, wmin cache, migration."""
+"""Durable store: WAL mode, lifecycle transitions, wmin cache, old stores."""
 
-import json
 import sqlite3
 
 import pytest
 
+from repro import api
 from repro.campaign.model import CampaignConfig, build_matrix
-from repro.campaign.store import (
-    LEGACY_WMIN_FILE,
-    STORE_FILE,
-    CampaignStore,
-    CampaignStoreError,
-)
+from repro.campaign.store import CampaignStore, CampaignStoreError
 
 
 @pytest.fixture
@@ -98,14 +93,28 @@ class TestWminCache:
         assert store.wmin_get("tseng@0.02/0") == 3
         assert store.wmin_all() == {"tseng@0.02/0": 3}
 
-    def test_legacy_json_import(self, tmp_path):
-        camp = tmp_path / "camp"
-        camp.mkdir()
-        (camp / LEGACY_WMIN_FILE).write_text(
-            json.dumps({"tseng@0.02/0": 4, "junk": "nope"})
+
+class TestOldStores:
+    def test_retired_routing_keys_resume_and_report(self, tmp_path):
+        """A store written when routing still had selectable variants
+        records ``wmin_engine``/``route_kernel``/``route_search`` in its
+        config; it must still resume and render its tables."""
+        config = CampaignConfig(
+            circuits=["tseng"], algorithms=["rt"], scale=0.02, effort=0.2
         )
-        store = CampaignStore.in_dir(camp)
-        assert store.wmin_get("tseng@0.02/0") == 4
-        assert store.wmin_get("junk") is None
-        assert not (camp / LEGACY_WMIN_FILE).exists()  # renamed after import
-        assert (camp / STORE_FILE).exists()
+        store = CampaignStore.in_dir(tmp_path / "camp")
+        store.set_meta(
+            "config",
+            {
+                **config.to_dict(),
+                "wmin_engine": "fast",
+                "route_kernel": "vector",
+                "route_search": "wavefront",
+            },
+        )
+        store.add_tasks(build_matrix(config))
+
+        summary = api.campaign_resume(tmp_path / "camp")
+        assert summary.ok and summary.done == 2
+        report = api.campaign_report(tmp_path / "camp", "table1")
+        assert "tseng" in report

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import ReplicationConfig, optimize_replication
+from repro import ReplicationConfig
+from repro.core.flow import optimize_replication
 from repro.core.signatures import LexScheme, MaxArrivalScheme
 from repro.netlist import check_equivalence
 

@@ -9,9 +9,10 @@ than spin.
 
 import pytest
 
-from repro import FpgaArch, ReplicationConfig, analyze, optimize_replication
+from repro import FpgaArch, ReplicationConfig, analyze
 from repro.arch import LinearDelayModel
 from repro.bench.families import comb_tree
+from repro.core.flow import optimize_replication
 from repro.netlist import check_equivalence, validate_netlist
 from repro.place import Placement
 

@@ -8,9 +8,10 @@ worse than the input, determinism.
 
 import pytest
 
-from repro import FpgaArch, ReplicationConfig, analyze, optimize_replication
+from repro import FpgaArch, ReplicationConfig, analyze
 from repro.arch import LinearDelayModel
 from repro.bench.families import butterfly, comb_tree, fanout_star, mesh, shift_register
+from repro.core.flow import optimize_replication
 from repro.core.signatures import LexMcScheme, LexScheme
 from repro.netlist import check_equivalence, validate_netlist
 from repro.place import random_placement

@@ -1,17 +1,23 @@
 """Equivalence tests: IndexedRoutingGraph mirrors RoutingGraph exactly.
 
-The fast router's parity argument rests on the indexed graph being a
-relabelling of the reference graph — same slots, same probe order, same
-segment pricing — plus correct incremental bookkeeping (wirelength,
-over-use, the at-capacity count behind ``uniform_cost``).
+The router's parity argument rests on the indexed graph being a
+relabelling of the reference graph (:mod:`tests.route.oracle`) — same
+slots, same probe order, same segment pricing — plus correct
+incremental bookkeeping (wirelength, over-use, the at-capacity count
+behind ``uniform_cost``) and a priced cost vector that always equals the
+per-segment formula.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 from repro.arch import FpgaArch
-from repro.route import IndexedRoutingGraph, RoutingGraph, segment
+from repro.route import IndexedRoutingGraph
+from repro.route.pathfinder import _ripup_targets
+
+from tests.route.oracle import RoutingGraph, segment
 
 
 def graphs(width=5, height=4, channel_width=2.0):
@@ -102,14 +108,16 @@ class TestOccupancyBookkeeping:
             assert ig.total_wirelength() == ref.total_wirelength()
             assert ig.total_overuse() == ref.total_overuse()
 
-    def test_overused_segments_listing(self):
+    def test_overuse_flags_listing(self):
         _ref, ig = graphs(channel_width=1.0)
         ig.occupy(3)
         ig.occupy(3)
         ig.occupy(7)
-        assert ig.overused_segments() == [3]
+        flags = ig.overuse_flags()
+        assert len(flags) == ig.num_segments
+        assert [s for s, flag in enumerate(flags) if flag] == [3]
         ig.release(3)
-        assert ig.overused_segments() == []
+        assert not any(ig.overuse_flags())
 
     def test_uniform_cost_flips_at_capacity_not_overuse(self):
         """A segment at exactly full capacity already prices its next
@@ -136,43 +144,72 @@ class TestOccupancyBookkeeping:
 
 
 class TestCostCache:
-    """The seg_cost cache must always equal a fresh kernel pricing."""
+    """The seg_cost cache must always equal a fresh per-segment pricing."""
 
     def assert_cache_fresh(self, ig, pres):
-        expect = ig.kernel.congestion_costs(
-            ig.usage, ig.history, ig.channel_width, pres
-        )
+        expect = [ig.congestion_cost(s, pres) for s in range(ig.num_segments)]
         assert ig.seg_cost == expect
 
     def test_refresh_prices_every_segment(self):
-        for kernel in ("scalar", "vector"):
-            arch = FpgaArch(5, 4)
-            ig = IndexedRoutingGraph(arch, 2.0, kernel=kernel)
-            assert ig.seg_cost is None
-            costs = ig.refresh_costs(0.5)
-            assert costs is ig.seg_cost
-            self.assert_cache_fresh(ig, 0.5)
+        arch = FpgaArch(5, 4)
+        ig = IndexedRoutingGraph(arch, 2.0)
+        assert ig.seg_cost is None
+        costs = ig.refresh_costs(0.5)
+        assert costs is ig.seg_cost
+        self.assert_cache_fresh(ig, 0.5)
+
+    def test_priced_vector_equals_congestion_cost(self):
+        """Random usage/history at integer and fractional widths, with
+        segments forced exactly at and one over capacity (the branch
+        edges): every priced entry equals ``congestion_cost`` exactly."""
+        rng = random.Random(12)
+        for width in (1.0, 2.0, 3.0, 7.5):
+            ig = IndexedRoutingGraph(FpgaArch(5, 4), width)
+            for seg_id in range(ig.num_segments):
+                ig.usage[seg_id] = rng.randint(0, 8)
+                if rng.random() < 0.6:
+                    ig.history[seg_id] = rng.uniform(0.0, 40.0)
+            for _ in range(ig.num_segments // 10):
+                ig.usage[rng.randrange(ig.num_segments)] = int(width)
+                ig.usage[rng.randrange(ig.num_segments)] = int(width) + 1
+            for pres in (0.5, 1.28, 13.1072):
+                ig.refresh_costs(pres)
+                self.assert_cache_fresh(ig, pres)
+
+    def test_infinite_width_prices_one_plus_history(self):
+        """W∞ prices every segment at ``1 + history`` and never accrues."""
+        ig = IndexedRoutingGraph(FpgaArch(5, 4), math.inf)
+        rng = random.Random(3)
+        for seg_id in range(ig.num_segments):
+            ig.usage[seg_id] = rng.randint(0, 17)
+            ig.history[seg_id] = float(rng.randint(0, 5))
+        history = list(ig.history)
+        costs = ig.refresh_costs(0.5)
+        assert costs == [1.0 + h for h in history]
+        ig.accrue_history()
+        assert ig.history == history
+        assert not ig.has_history
+        assert not any(ig.overuse_flags())
 
     def test_occupy_release_keep_cache_exact(self):
         """Random churn after a refresh: every touched entry stays equal
-        to what a cold re-pricing would produce (both kernels)."""
-        for kernel in ("scalar", "vector"):
-            arch = FpgaArch(5, 4)
-            ig = IndexedRoutingGraph(arch, 2.0, kernel=kernel)
-            rng = random.Random(23)
-            for seg_id in range(ig.num_segments):
-                if rng.random() < 0.3:
-                    ig.history[seg_id] = rng.uniform(0.1, 4.0)
-            ig.refresh_costs(0.8)
-            live: list[int] = []
-            for _ in range(200):
-                if live and rng.random() < 0.4:
-                    ig.release(live.pop(rng.randrange(len(live))))
-                else:
-                    seg_id = rng.randrange(ig.num_segments)
-                    live.append(seg_id)
-                    ig.occupy(seg_id)
-            self.assert_cache_fresh(ig, 0.8)
+        to what a cold re-pricing would produce."""
+        arch = FpgaArch(5, 4)
+        ig = IndexedRoutingGraph(arch, 2.0)
+        rng = random.Random(23)
+        for seg_id in range(ig.num_segments):
+            if rng.random() < 0.3:
+                ig.history[seg_id] = rng.uniform(0.1, 4.0)
+        ig.refresh_costs(0.8)
+        live: list[int] = []
+        for _ in range(200):
+            if live and rng.random() < 0.4:
+                ig.release(live.pop(rng.randrange(len(live))))
+            else:
+                seg_id = rng.randrange(ig.num_segments)
+                live.append(seg_id)
+                ig.occupy(seg_id)
+        self.assert_cache_fresh(ig, 0.8)
 
     def test_accrue_history_invalidates_cache(self):
         arch = FpgaArch(5, 4)
@@ -211,7 +248,7 @@ class TestSearchCounters:
         PERF.reset()
         PERF.enable()
         try:
-            result = route_design(nl, placement, 3, engine="fast")
+            result = route_design(nl, placement, 3)
             snap = PERF.snapshot()["counters"]
         finally:
             PERF.disable()
@@ -222,3 +259,23 @@ class TestSearchCounters:
         assert pushes > 0
         assert pops <= pushes
         assert snap.get("route.search_stale", 0) <= pops
+
+
+class TestRipupTargets:
+    """Incremental negotiation re-routes exactly the nets that cross an
+    over-used segment."""
+
+    def test_nets_crossing_overuse_selected_in_order(self):
+        ig = IndexedRoutingGraph(FpgaArch(5, 4), 1.0)
+        ig.occupy(3)
+        ig.occupy(3)
+        items = [(10, 0), (11, 0), (12, 0)]
+        routes = {10: [1, 3], 11: [2, 4], 12: [3]}
+        assert _ripup_targets(ig, items, routes) == [(10, 0), (12, 0)]
+
+    def test_empty_routes_select_no_targets(self):
+        ig = IndexedRoutingGraph(FpgaArch(5, 4), 1.0)
+        ig.occupy(0)
+        ig.occupy(0)
+        items = [(0, 0), (1, 1)]
+        assert _ripup_targets(ig, items, {0: [], 1: []}) == []

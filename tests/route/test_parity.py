@@ -1,11 +1,12 @@
-"""Property tests: the fast router is faithful to the reference engine.
+"""Property tests: the router is faithful to the reference router.
 
-The fast engine's contract (see ``repro.route.pathfinder``):
+The router's contract (see ``repro.route.pathfinder``; the reference
+router lives in :mod:`tests.route.oracle`):
 
 * ``W∞`` (uniform-cost) routing is **bit-identical** to the reference —
   same segments, same sink hops, same routed critical delay — for any
   placement, and for any ``jobs`` count.
-* Congested negotiation in *exact mode* replays the reference engine
+* Congested negotiation in *exact mode* replays the reference router
   decision-for-decision.
 * The default (heuristic) schedule never fails at a channel width where
   the reference succeeds, so the negotiated minimum channel width is
@@ -23,6 +24,8 @@ from repro.netlist import Netlist
 from repro.place import random_placement
 from repro.route import route_design
 from repro.route.metrics import routed_critical_delay
+
+from tests.route.oracle import _route_design_reference, route_design_reference
 
 
 def random_circuit(seed: int):
@@ -52,11 +55,11 @@ def random_circuit(seed: int):
 
 
 def reference_min_width(nets, arch, max_iterations: int = 16) -> int:
-    """Binary-search the reference engine's minimum channel width."""
+    """Binary-search the reference router's minimum channel width."""
     lo, hi, best = 1, 64, 64
     while lo <= hi:
         mid = (lo + hi) // 2
-        ok = pathfinder._route_design_reference(
+        ok = _route_design_reference(
             arch, nets, mid, max_iterations, 0.5, 1.6
         ).success
         if ok:
@@ -83,15 +86,13 @@ def fast_min_width(nets, arch, max_iterations: int = 16) -> int:
 class TestWinfBitIdentity:
     def test_winf_matches_reference_over_many_seeds(self):
         """60 random placements: segments, hops, wirelength and routed
-        critical delay are all bit-identical between engines."""
+        critical delay are all bit-identical between routers."""
         for seed in range(60):
             nl, placement = random_circuit(seed)
-            ref = route_design(
-                nl, placement, math.inf, max_iterations=1, engine="reference"
+            ref = route_design_reference(
+                nl, placement, math.inf, max_iterations=1
             )
-            fast = route_design(
-                nl, placement, math.inf, max_iterations=1, engine="fast"
-            )
+            fast = route_design(nl, placement, math.inf, max_iterations=1)
             assert fast.success and ref.success
             assert fast.total_wirelength == ref.total_wirelength, f"seed {seed}"
             assert set(fast.routes) == set(ref.routes), f"seed {seed}"
@@ -134,7 +135,7 @@ class TestCongestedParity:
         for seed in range(12):
             nl, placement = random_circuit(seed)
             nets = pathfinder._routable_nets(nl, placement, True)
-            ref = pathfinder._route_design_reference(
+            ref = _route_design_reference(
                 placement.arch, nets, 2, 16, 0.5, 1.6
             )
             if ref.iterations <= 1:
@@ -153,8 +154,8 @@ class TestCongestedParity:
         assert checked >= 3  # the sweep actually exercised congestion
 
     def test_min_width_never_worse_than_reference(self):
-        """The default engine's negotiated minimum channel width is no
-        worse than the reference engine's (exact-fallback guarantee)."""
+        """The router's negotiated minimum channel width is no worse
+        than the reference router's (exact-fallback guarantee)."""
         for seed in range(15):
             nl, placement = random_circuit(seed)
             nets = pathfinder._routable_nets(nl, placement, True)
@@ -165,8 +166,8 @@ class TestCongestedParity:
     def test_heap_conservation_pops_never_exceed_pushes(self):
         """Heap accounting: every pop is of a pushed entry, so pops can
         never exceed pushes — and with target-key push pruning the two
-        should stay close (the old engine pushed ~46% more than it
-        popped)."""
+        should stay close (the search before the gate pushed ~46% more
+        than it popped)."""
         from repro.perf import PERF
 
         PERF.reset()
@@ -196,7 +197,7 @@ class TestCongestedParity:
             nl, placement = random_circuit(seed)
             nets = pathfinder._routable_nets(nl, placement, True)
             for width in (1, 2, 3):
-                ref = pathfinder._route_design_reference(
+                ref = _route_design_reference(
                     placement.arch, nets, width, 16, 0.5, 1.6
                 )
                 if not ref.success:

@@ -2,9 +2,10 @@
 
 Three layers:
 
-* **Protocol property tests** — :func:`galloping_bisect` against a
-  synthetic monotone-routability oracle: returns the true boundary,
-  raises above the gallop ceiling, handles width-1-routable designs.
+* **Protocol property tests** — the reference protocol's
+  :func:`~tests.route.oracle.galloping_bisect` against a synthetic
+  monotone-routability oracle: returns the true boundary, raises above
+  the gallop ceiling, handles width-1-routable designs.
 * **Engine equality** — the fast engine (warm probes, bounds,
   speculation, hints) returns exactly the reference protocol's width on
   random circuits, for any ``jobs`` and any ``start_width``.
@@ -22,12 +23,9 @@ from repro.perf import PERF
 from repro.route.metrics import find_min_channel_width
 from repro.route.pathfinder import _routable_nets
 from repro.route.rrgraph import IndexedRoutingGraph
-from repro.route.wmin import (
-    demand_lower_bound,
-    find_min_channel_width_fast,
-    galloping_bisect,
-)
+from repro.route.wmin import demand_lower_bound, find_min_channel_width_fast
 
+from tests.route.oracle import galloping_bisect, min_channel_width_reference
 from tests.route.test_parity import random_circuit
 
 
@@ -87,9 +85,7 @@ class TestDemandLowerBound:
             ig = IndexedRoutingGraph(placement.arch, math.inf)
             bound = demand_lower_bound(ig, nets)
             assert bound >= 1
-            wmin = find_min_channel_width(
-                nl, placement, max_width=64, wmin_engine="reference"
-            )
+            wmin = min_channel_width_reference(nl, placement, max_width=64)
             assert bound <= wmin, f"seed {seed}: bound {bound} > W_min {wmin}"
 
 
@@ -97,12 +93,8 @@ class TestEngineEquality:
     def test_fast_matches_reference_on_random_circuits(self):
         for seed in range(10):
             nl, placement = random_circuit(seed)
-            ref = find_min_channel_width(
-                nl, placement, max_width=64, wmin_engine="reference"
-            )
-            fast = find_min_channel_width(
-                nl, placement, max_width=64, wmin_engine="fast"
-            )
+            ref = min_channel_width_reference(nl, placement, max_width=64)
+            fast = find_min_channel_width(nl, placement, max_width=64)
             assert fast == ref, f"seed {seed}: fast {fast} != reference {ref}"
 
     def test_jobs_do_not_change_width(self):
@@ -126,19 +118,17 @@ class TestEngineEquality:
                 assert hinted == truth, f"seed {seed} hint {hint}"
 
     def test_raise_parity_at_tight_max_width(self):
-        """Both engines agree on raise-vs-width at small max_width
+        """The fast search and the reference protocol agree on
+        raise-vs-width at small max_width
         (including the power-of-two gallop-ceiling quirk)."""
         for seed in range(6):
             nl, placement = random_circuit(seed)
             for max_width in (1, 2, 3):
                 outcomes = []
-                for eng in ("reference", "fast"):
+                for search in (min_channel_width_reference, find_min_channel_width):
                     try:
                         outcomes.append(
-                            ("ok", find_min_channel_width(
-                                nl, placement, max_width=max_width,
-                                wmin_engine=eng,
-                            ))
+                            ("ok", search(nl, placement, max_width=max_width))
                         )
                     except RuntimeError as exc:
                         outcomes.append(("raise", str(exc)))
@@ -170,31 +160,6 @@ class TestEngineEquality:
             assert snap.get("route.wmin.replay_probes", 0) <= 1, f"seed {seed}"
             assert snap.get("route.wmin.warm_probes", 0) == 0, f"seed {seed}"
 
-    def test_kernel_never_changes_width(self):
-        """scalar and vector kernels bisect to the identical width, with
-        and without parallel speculation and hints."""
-        for seed in (0, 3, 6):
-            nl, placement = random_circuit(seed)
-            widths = {
-                kernel: find_min_channel_width_fast(
-                    nl, placement, max_width=64, kernel=kernel
-                )
-                for kernel in ("scalar", "vector")
-            }
-            assert widths["scalar"] == widths["vector"], f"seed {seed}"
-            truth = widths["scalar"]
-            for jobs in (1, 2):
-                for hint in (None, truth, truth + 3):
-                    for kernel in ("scalar", "vector"):
-                        got = find_min_channel_width_fast(
-                            nl, placement, max_width=64,
-                            jobs=jobs, start_width=hint, kernel=kernel,
-                        )
-                        assert got == truth, (
-                            f"seed {seed} jobs {jobs} hint {hint} "
-                            f"kernel {kernel}: {got} != {truth}"
-                        )
-
 
 @pytest.mark.slow
 class TestFullSuiteEquality:
@@ -208,18 +173,15 @@ class TestFullSuiteEquality:
         for name in suite_names("all"):
             netlist, arch = suite_circuit(name, scale=0.02)
             placement = random_placement(netlist, arch, seed=0)
-            ref = find_min_channel_width(
-                netlist, placement, wmin_engine="reference"
-            )
-            fast = find_min_channel_width(netlist, placement, wmin_engine="fast")
+            ref = min_channel_width_reference(netlist, placement)
+            fast = find_min_channel_width(netlist, placement)
             if fast != ref:
                 mismatches.append((name, fast, ref))
         assert not mismatches, f"fast != reference on: {mismatches}"
 
-    def test_all_suite_circuits_jobs_kernel_hint_matrix(self):
-        """All 20 suite circuits: every (jobs, kernel, search,
-        start_width) combination of the fast engine returns the
-        identical width."""
+    def test_all_suite_circuits_jobs_hint_matrix(self):
+        """All 20 suite circuits: every (jobs, start_width) combination
+        of the fast engine returns the identical width."""
         from repro.bench.suite import suite_circuit, suite_names
         from repro.place.initial import random_placement
 
@@ -229,17 +191,10 @@ class TestFullSuiteEquality:
             placement = random_placement(netlist, arch, seed=0)
             truth = find_min_channel_width_fast(netlist, placement)
             for jobs in (1, 2):
-                for kernel in ("scalar", "vector"):
-                    for search in ("heap", "wavefront"):
-                        for hint in (None, truth, truth + 2):
-                            got = find_min_channel_width_fast(
-                                netlist, placement,
-                                jobs=jobs, kernel=kernel, search=search,
-                                start_width=hint,
-                            )
-                            if got != truth:
-                                mismatches.append(
-                                    (name, jobs, kernel, search, hint,
-                                     got, truth)
-                                )
+                for hint in (None, truth, truth + 2):
+                    got = find_min_channel_width_fast(
+                        netlist, placement, jobs=jobs, start_width=hint
+                    )
+                    if got != truth:
+                        mismatches.append((name, jobs, hint, got, truth))
         assert not mismatches, f"width diverged on: {mismatches}"

@@ -145,20 +145,6 @@ class TestTopLevelExports:
         assert hasattr(repro.place, "Placement")
         assert hasattr(repro.route, "route_infinite")
 
-    def test_optimize_replication_warns_and_works(self):
-        from tests.core.test_flow import staircase_instance
-
-        nl, placement = staircase_instance()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = repro.optimize_replication(
-                nl, placement, ReplicationConfig(max_iterations=2)
-            )
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        assert result.final_delay <= result.initial_delay + 1e-9
-
     def test_core_entry_point_does_not_warn(self):
         from repro.core.flow import optimize_replication
         from tests.core.test_flow import staircase_instance

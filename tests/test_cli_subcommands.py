@@ -1,11 +1,14 @@
-"""CLI subcommands: run/route/resume/trace-view/bench + the legacy shim."""
+"""CLI subcommands: run/route/resume/trace-view/bench."""
 
 import json
+import re
 
+import pytest
+
+from repro.bench.runner import main as runner_main
 from repro.cli import (
     EXIT_MISSING,
     EXIT_USAGE,
-    LEGACY_NOTICE,
     main as cli_main,
 )
 
@@ -134,17 +137,33 @@ class TestBenchForwarding:
         assert "tseng" in capsys.readouterr().out
 
 
-class TestLegacyShim:
-    def test_flat_flags_rewritten_to_run(self, capsys, tmp_path):
-        out_blif = tmp_path / "out.blif"
-        code = cli_main([*RUN_FLAGS, "--out-blif", str(out_blif)])
-        assert code == 0
-        captured = capsys.readouterr()
-        assert LEGACY_NOTICE in captured.err
-        assert "replication" in captured.out
-        assert out_blif.exists()
+class TestUsage:
+    def test_flat_flags_without_subcommand_exit_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(RUN_FLAGS)
+        assert exc.value.code == EXIT_USAGE
+        assert "usage:" in capsys.readouterr().err
 
-    def test_subcommand_form_does_not_warn(self, capsys):
-        code = cli_main(["run", *RUN_FLAGS, "--algorithm", "none"])
-        assert code == 0
-        assert LEGACY_NOTICE not in capsys.readouterr().err
+
+class TestRoutingFlags:
+    @pytest.mark.parametrize(
+        "main, argv",
+        [
+            (cli_main, ["run"]),
+            (cli_main, ["route"]),
+            (cli_main, ["campaign", "run"]),
+            (runner_main, []),
+        ],
+        ids=["run", "route", "campaign-run", "bench-runner"],
+    )
+    def test_help_lists_no_router_variant_flags(self, main, argv, capsys):
+        """Routing has one implementation, so no flag picks among them."""
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        help_text = capsys.readouterr().out
+        assert "--route-jobs" in help_text
+        assert not re.search(
+            r"--(engine|wmin-engine|kernel|route-kernel|route-search)\b",
+            help_text,
+        )

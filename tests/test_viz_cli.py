@@ -71,7 +71,8 @@ class TestRenderOthers:
         assert "trade-off" in text
 
     def test_history_rendering(self):
-        from repro import ReplicationConfig, optimize_replication
+        from repro import ReplicationConfig
+        from repro.core.flow import optimize_replication
         from tests.core.test_flow import staircase_instance
 
         nl, placement = staircase_instance()
@@ -119,7 +120,7 @@ class TestCli:
         out_blif = tmp_path / "out.blif"
         out_place = tmp_path / "out.place.json"
         code = cli_main([
-            "--circuit", "tseng", "--scale", "0.04", "--effort", "0.2",
+            "run", "--circuit", "tseng", "--scale", "0.04", "--effort", "0.2",
             "--place-effort", "0.15",
             "--out-blif", str(out_blif), "--out-placement", str(out_place),
         ])
@@ -136,13 +137,13 @@ class TestCli:
         design.write_text(write_blif(comb_tree(2)))
         place_file = tmp_path / "p.json"
         code = cli_main([
-            "--blif", str(design), "--algorithm", "none",
+            "run", "--blif", str(design), "--algorithm", "none",
             "--place-effort", "0.15", "--out-placement", str(place_file),
         ])
         assert code == 0
         # Second run: reuse the placement, draw the grid, and route.
         code = cli_main([
-            "--blif", str(design), "--algorithm", "none",
+            "run", "--blif", str(design), "--algorithm", "none",
             "--in-placement", str(place_file), "--draw", "--route",
         ])
         assert code == 0
