@@ -180,7 +180,6 @@ def load_design(
     scale: float = 0.08,
     lut_size: int = 4,
     netlist_store: str | Path | None = None,
-    array: bool = False,
 ) -> Design:
     """Load a design from a suite circuit name or a BLIF file.
 
@@ -193,10 +192,7 @@ def load_design(
     are streamed in on first use without building the object form, BLIF
     files are imported once.  The loaded netlist is identical either way
     (iteration orders and ids included), so downstream results don't
-    change.  ``array=True`` additionally keeps the read-only
-    :class:`~repro.netlist.arrays.ArrayNetlist` instead of materializing
-    objects — valid for place/route/evaluate, not for :func:`optimize`
-    (which mutates the netlist).
+    change.
     """
     if (circuit is None) == (blif is None):
         raise ValueError("give exactly one of circuit= or blif=")
@@ -214,9 +210,7 @@ def load_design(
             from repro.bench.suite import ensure_suite_design
 
             key = ensure_suite_design(store, circuit, scale, lut_size=lut_size)
-        netlist = store.load_array(key)
-        if not array:
-            netlist = netlist.to_netlist()
+        netlist = store.load_array(key).to_netlist()
         arch = store.min_square_arch(key)
         validate_netlist(netlist)
         return Design(netlist=netlist, arch=arch, source=f"store:{key}")
@@ -326,7 +320,7 @@ def optimize(
     seconds = time.perf_counter() - start
     # Mirror the best snapshot back into the caller's objects.
     design.netlist.assign_from(result.netlist)
-    _assign_placement(placement, result.placement)
+    placement.assign_from(result.placement)
     out = OptimizeResult(result=result, seconds=seconds, run_dir=run_path)
     if run_path is not None:
         _write_result(run_path, out, config)
@@ -337,20 +331,18 @@ def route(
     design: Design,
     placement: Placement,
     *,
-    jobs: int = 1,
     start_width: int | None = None,
 ) -> RouteResult:
     """Low-stress + infinite routing with routed-timing STA.
 
-    ``start_width``/``jobs`` tune the W_min search (see
+    Every routing call runs in the caller's process.  ``start_width``
+    seeds the W_min search (see
     :func:`repro.route.find_min_channel_width`); the reported metrics
-    are identical for every setting.
+    are identical for every hint.
     """
     start = time.perf_counter()
-    low = route_low_stress(
-        design.netlist, placement, jobs=jobs, start_width=start_width
-    )
-    infinite = route_infinite(design.netlist, placement, jobs=jobs)
+    low = route_low_stress(design.netlist, placement, start_width=start_width)
+    infinite = route_infinite(design.netlist, placement)
     w_ls = routed_critical_delay(design.netlist, placement, low)
     w_inf = routed_critical_delay(design.netlist, placement, infinite)
     return RouteResult(
@@ -442,7 +434,6 @@ def campaign_run(
     timeout: float | None = None,
     retries: int = 2,
     backoff: float = 0.5,
-    route_jobs: int = 1,
     perf: bool = False,
     trace: bool = False,
     faults: dict[str, int] | None = None,
@@ -483,7 +474,6 @@ def campaign_run(
         seeds=list(seeds),
         scale=scale,
         effort=effort,
-        route_jobs=route_jobs,
         jobs=jobs,
         timeout=timeout,
         retries=retries,
@@ -572,14 +562,6 @@ def _trace_path(trace, run_path: Path | None) -> Path | None:
             raise ValueError("trace=True needs run_dir (or pass a path)")
         return run_path / TRACE_FILE
     return Path(trace)
-
-
-def _assign_placement(target: Placement, source: Placement) -> None:
-    copy = source.copy()
-    target.arch = copy.arch
-    target._slot_of = copy._slot_of
-    target._cells_at = copy._cells_at
-    target.notify_bulk()
 
 
 def _write_result(run_path: Path, out: OptimizeResult, config) -> None:

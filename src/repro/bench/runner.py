@@ -195,7 +195,6 @@ def run_vpr_baseline(
     scale: float = 0.08,
     seed: int = 0,
     inner_scale: float = 0.25,
-    route_jobs: int = 1,
     start_width: int | None = None,
     netlist_store: str | None = None,
 ) -> BaselineRun:
@@ -226,10 +225,10 @@ def run_vpr_baseline(
         netlist, arch, seed=seed, inner_scale=inner_scale
     )
     min_width = find_min_channel_width(
-        netlist, placement, jobs=route_jobs, start_width=start_width
+        netlist, placement, start_width=start_width
     )
     low = route_low_stress(netlist, placement, min_width=min_width)
-    infinite = route_infinite(netlist, placement, jobs=route_jobs)
+    infinite = route_infinite(netlist, placement)
     elapsed = time.perf_counter() - start
 
     w_ls = routed_critical_delay(netlist, placement, low).critical_delay
@@ -275,7 +274,6 @@ def run_variant(
     seed: int = 0,
     batch_sinks: int = 1,
     jobs: int = 1,
-    route_jobs: int = 1,
 ) -> VariantRun:
     """Run one optimization algorithm against a baseline and re-route."""
     netlist = baseline.netlist.clone()
@@ -296,7 +294,7 @@ def run_variant(
     seconds = time.perf_counter() - start
 
     low = route_low_stress(netlist, placement, min_width=baseline.min_width)
-    infinite = route_infinite(netlist, placement, jobs=route_jobs)
+    infinite = route_infinite(netlist, placement)
     w_ls = routed_critical_delay(netlist, placement, low).critical_delay
     w_inf = routed_critical_delay(netlist, placement, infinite).critical_delay
     return VariantRun(
@@ -421,12 +419,6 @@ def main(argv: list[str] | None = None) -> int:
         help="worker processes for batched embeddings (bit-identical results)",
     )
     parser.add_argument(
-        "--route-jobs",
-        type=int,
-        default=1,
-        help="worker processes for W-infinity routing (bit-identical results)",
-    )
-    parser.add_argument(
         "--run-dir",
         default=None,
         metavar="DIR",
@@ -469,7 +461,6 @@ def main(argv: list[str] | None = None) -> int:
             name,
             scale=args.scale,
             seed=args.seed,
-            route_jobs=args.route_jobs,
             start_width=wmin_cache.wmin_get(key) if wmin_cache else None,
             netlist_store=args.netlist_store,
         )
@@ -512,7 +503,6 @@ def main(argv: list[str] | None = None) -> int:
                 seed=args.seed,
                 batch_sinks=args.batch_sinks,
                 jobs=args.jobs,
-                route_jobs=args.route_jobs,
             )
             total_pr += baseline.place_route_seconds
             total_opt += run.seconds

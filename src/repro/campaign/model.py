@@ -68,10 +68,10 @@ class Task:
         )
 
 
-#: Router-variant keys that configs stored before routing had one
-#: implementation carry; no variant ever changed a result, so reading a
-#: stored config drops them.
-_RETIRED_KEYS = ("wmin_engine", "route_kernel", "route_search")
+#: Routing knobs that configs stored before routing had one
+#: implementation, run in one process, carry; none ever changed a
+#: result, so reading a stored config drops them.
+_RETIRED_KEYS = ("wmin_engine", "route_kernel", "route_search", "route_jobs")
 
 
 @dataclass
@@ -100,7 +100,6 @@ class CampaignConfig:
     seeds: list[int] = field(default_factory=lambda: [0])
     scale: float = 0.08
     effort: float = 1.0
-    route_jobs: int = 1
     jobs: int = 1
     timeout: float | None = None
     retries: int = 2

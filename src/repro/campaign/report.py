@@ -11,7 +11,7 @@ same matrix order (task ``idx`` is the sequential loop order).
 
 from __future__ import annotations
 
-from repro.campaign.model import CampaignConfig, Task
+from repro.campaign.model import CampaignConfig
 from repro.campaign.store import CampaignStore, CampaignStoreError
 
 REPORT_EXPERIMENTS = ("table1", "table2", "table3")
@@ -141,8 +141,3 @@ def render_status(store: CampaignStore) -> str:
             parts.append(f"worker peak RSS max {max(rss):.1f} MB")
         lines.append(f"task stats: {'; '.join(parts)}")
     return "\n".join(lines)
-
-
-def campaign_tasks_for_status(store: CampaignStore) -> list[Task]:
-    """Convenience for tooling: the task graph as model objects."""
-    return store.tasks()

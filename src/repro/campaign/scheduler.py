@@ -90,7 +90,6 @@ def execute_task(payload: dict) -> dict:
                 task["circuit"],
                 scale=task["scale"],
                 seed=task["seed"],
-                route_jobs=payload.get("route_jobs", 1),
                 start_width=payload.get("start_width"),
                 netlist_store=store_path,
             )
@@ -123,7 +122,6 @@ def execute_task(payload: dict) -> dict:
             task["algorithm"],
             effort=payload.get("effort", 1.0),
             seed=task["seed"],
-            route_jobs=payload.get("route_jobs", 1),
         )
         return run.to_dict()
     finally:
@@ -381,7 +379,6 @@ class CampaignScheduler:
             "task": task.to_row(),
             "attempt": attempt,
             "effort": config.effort,
-            "route_jobs": config.route_jobs,
             "perf": config.perf,
             "trace": config.trace,
             "campaign_dir": str(self.campaign_dir),

@@ -73,6 +73,10 @@ class CampaignStoreError(Exception):
     """Raised on missing/invalid campaign stores."""
 
 
+class CampaignStoreMissing(CampaignStoreError):
+    """Raised when a directory holds no campaign store."""
+
+
 class CampaignStore:
     """Facade over one campaign's SQLite database (per-op connections).
 
@@ -119,7 +123,7 @@ class CampaignStore:
         """Open the store of an existing campaign; error when absent."""
         path = Path(campaign_dir) / cls.FILENAME
         if not path.exists():
-            raise CampaignStoreError(f"no campaign store at {path}")
+            raise CampaignStoreMissing(f"no campaign store at {path}")
         return cls(path)
 
     # -- meta ----------------------------------------------------------

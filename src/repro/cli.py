@@ -111,9 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="print perf counters/timers after the flow")
     run.add_argument("--route", action="store_true",
                      help="run low-stress + infinite routing at the end")
-    run.add_argument("--route-jobs", type=int, default=1, dest="route_jobs",
-                     help="worker processes for W-infinity routing "
-                     "(results are bit-identical for any value)")
     run.add_argument("--run-dir", type=Path,
                      help="run directory: journal.jsonl, checkpoint.json, "
                      "trace.json, result.json")
@@ -132,7 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     route = sub.add_parser("route", help="route a placement, report timing")
     _add_input_arguments(route)
-    route.add_argument("--route-jobs", type=int, default=1, dest="route_jobs")
     route.add_argument("--start-width", type=int, default=None,
                        dest="start_width", metavar="W",
                        help="warm-start the W_min search at this width "
@@ -188,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="re-runs after a task's first failure")
     crun.add_argument("--backoff", type=float, default=0.5, metavar="S",
                       help="base retry delay; doubles per attempt")
-    crun.add_argument("--route-jobs", type=int, default=1, dest="route_jobs")
     crun.add_argument("--perf", action="store_true",
                       help="per-task perf snapshots into DIR/perf/")
     crun.add_argument("--trace", action="store_true",
@@ -426,7 +421,7 @@ def cmd_run(args) -> int:
         if args.perf and not PERF.enabled:
             PERF.reset()
             PERF.enable()
-        routed = api.route(design, placement, jobs=args.route_jobs)
+        routed = api.route(design, placement)
         _print_routing(routed)
         if args.run_dir is not None:
             _record_route_result(args.run_dir, routed)
@@ -453,10 +448,9 @@ def cmd_run(args) -> int:
 
 def cmd_route(args) -> int:
     design, placed = _load_and_place(args)
-    _print_routing(api.route(
-        design, placed.placement, jobs=args.route_jobs,
-        start_width=args.start_width,
-    ))
+    _print_routing(
+        api.route(design, placed.placement, start_width=args.start_width)
+    )
     return 0
 
 
@@ -568,14 +562,12 @@ def cmd_netlist_info(args) -> int:
     from repro.netlist.store import NetlistStore, NetlistStoreError
 
     if not args.store.exists():
-        print(f"repro netlist info: no store at {args.store}", file=sys.stderr)
-        return 1
+        raise CliError(f"no store at {args.store}", EXIT_MISSING)
     try:
         store = NetlistStore(args.store)
         info = store.info()
     except NetlistStoreError as exc:
-        print(f"repro netlist info: {exc}", file=sys.stderr)
-        return 1
+        raise CliError(str(exc)) from None
     print(f"store {args.store}: schema v{info['schema_version']}, "
           f"{len(info['designs'])} design(s), {info['size_bytes']} bytes")
     for design in info["designs"]:
@@ -628,7 +620,6 @@ def cmd_campaign_run(args) -> int:
             timeout=args.timeout,
             retries=args.retries,
             backoff=args.backoff,
-            route_jobs=args.route_jobs,
             perf=args.perf,
             trace=args.trace,
             netlist_store=args.netlist_store,
@@ -642,31 +633,33 @@ def cmd_campaign_run(args) -> int:
 
 
 def cmd_campaign_resume(args) -> int:
-    from repro.campaign.store import CampaignStoreError
+    from repro.campaign.store import CampaignStoreError, CampaignStoreMissing
 
     try:
         summary = api.campaign_resume(
             args.campaign_dir, jobs=args.jobs, echo=print
         )
+    except CampaignStoreMissing as exc:
+        raise CliError(str(exc), EXIT_MISSING) from None
     except CampaignStoreError as exc:
-        print(f"repro campaign resume: {exc}", file=sys.stderr)
-        return 2
+        raise CliError(str(exc), EXIT_USAGE) from None
     return _print_campaign_summary(summary)
 
 
 def cmd_campaign_status(args) -> int:
-    from repro.campaign.store import CampaignStoreError
+    from repro.campaign.store import CampaignStoreError, CampaignStoreMissing
 
     try:
         print(api.campaign_status(args.campaign_dir))
+    except CampaignStoreMissing as exc:
+        raise CliError(str(exc), EXIT_MISSING) from None
     except CampaignStoreError as exc:
-        print(f"repro campaign status: {exc}", file=sys.stderr)
-        return 2
+        raise CliError(str(exc), EXIT_USAGE) from None
     return 0
 
 
 def cmd_campaign_report(args) -> int:
-    from repro.campaign.store import CampaignStoreError
+    from repro.campaign.store import CampaignStoreError, CampaignStoreMissing
 
     try:
         print(api.campaign_report(
@@ -675,9 +668,10 @@ def cmd_campaign_report(args) -> int:
             seed=args.seed,
             allow_partial=args.partial,
         ))
+    except CampaignStoreMissing as exc:
+        raise CliError(str(exc), EXIT_MISSING) from None
     except (CampaignStoreError, ValueError) as exc:
-        print(f"repro campaign report: {exc}", file=sys.stderr)
-        return 2
+        raise CliError(str(exc), EXIT_USAGE) from None
     return 0
 
 
@@ -849,23 +843,25 @@ def cmd_jobs(args) -> int:
 
 
 # ----------------------------------------------------------------------
-# Entry point (with the pre-subcommand compatibility shim)
+# Entry point
 # ----------------------------------------------------------------------
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # ``campaign`` and ``netlist`` name their own subcommand in messages.
+    nested = getattr(args, f"{args.command}_command", None)
+    label = f"repro {args.command}" + (f" {nested}" if nested else "")
     try:
         return args.func(args)
     except CliError as exc:
-        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        print(f"{label}: {exc}", file=sys.stderr)
         return exc.code
     except FileNotFoundError as exc:
-        print(f"repro {args.command}: no such file: "
-              f"{exc.filename or exc}", file=sys.stderr)
+        print(f"{label}: no such file: {exc.filename or exc}", file=sys.stderr)
         return EXIT_MISSING
     except KeyboardInterrupt:
-        print(f"repro {args.command}: interrupted", file=sys.stderr)
+        print(f"{label}: interrupted", file=sys.stderr)
         return 130
     except BrokenPipeError:
         # downstream closed the pipe (e.g. | head); swap in devnull so the

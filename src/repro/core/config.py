@@ -155,7 +155,6 @@ class RunConfig:
         batch_sinks: Tied critical endpoints embedded per iteration.
         jobs: Worker processes for batched embeddings.
         route: Run low-stress + infinite routing at the end.
-        route_jobs: Worker processes for W-infinity routing.
         checkpoint_every: Checkpoint the flow every N iterations
             (0 = disabled; needs a run directory).
         netlist_store: Path of a :mod:`repro.netlist.store` database to
@@ -176,7 +175,6 @@ class RunConfig:
     batch_sinks: int = 1
     jobs: int = 1
     route: bool = False
-    route_jobs: int = 1
     checkpoint_every: int = 0
     netlist_store: str | None = None
 
@@ -201,7 +199,9 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        return cls(**data)
+        # Rows stored while W-infinity routing had a worker pool carry
+        # its knob; it never changed a result, so reading drops it.
+        return cls(**{k: v for k, v in data.items() if k != "route_jobs"})
 
     def replication_config(self) -> ReplicationConfig:
         """The :class:`ReplicationConfig` this run's dials map to.

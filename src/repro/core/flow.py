@@ -444,8 +444,8 @@ class ReplicationOptimizer:
                     with PERF.timer("flow.sta"):
                         degraded = sta.analysis().critical_delay > limit + 1e-9
                     if degraded:
-                        _copy_netlist_into(snapshot_nl, self.netlist)
-                        _copy_placement_into(snapshot_pl, self.placement)
+                        self.netlist.assign_from(snapshot_nl)
+                        self.placement.assign_from(snapshot_pl)
                         replicated = unified = 0
                         note = "reverted"
                     else:
@@ -488,8 +488,8 @@ class ReplicationOptimizer:
                         with PERF.timer("flow.sta"):
                             degraded = sta.analysis().critical_delay > limit + 1e-9
                         if degraded and not relocate_ff:
-                            _copy_netlist_into(snapshot_nl, self.netlist)
-                            _copy_placement_into(snapshot_pl, self.placement)
+                            self.netlist.assign_from(snapshot_nl)
+                            self.placement.assign_from(snapshot_pl)
                             replicated = unified = 0
                             note = "reverted"
 
@@ -695,8 +695,8 @@ class ReplicationOptimizer:
                 self.netlist, self.placement, aggressive=True, sta=sta
             )
             if sta.analysis().critical_delay > before_unify + 1e-9:
-                _copy_netlist_into(snapshot_nl, self.netlist)
-                _copy_placement_into(snapshot_pl, self.placement)
+                self.netlist.assign_from(snapshot_nl)
+                self.placement.assign_from(snapshot_pl)
                 unify = postprocess_unification(
                     self.netlist, self.placement, aggressive=False, sta=sta
                 )
@@ -817,8 +817,8 @@ class ReplicationOptimizer:
             with PERF.timer("flow.sta"):
                 runaway = sta.analysis().critical_delay > limit + 1e-9
             if runaway:
-                _copy_netlist_into(snapshot_nl, self.netlist)
-                _copy_placement_into(snapshot_pl, self.placement)
+                self.netlist.assign_from(snapshot_nl)
+                self.placement.assign_from(snapshot_pl)
                 continue
             replicated += len(outcome.replicated)
             swept += len(outcome.swept)
@@ -838,23 +838,6 @@ def optimize_replication(
     optimizer = ReplicationOptimizer(netlist, placement, config)
     result = optimizer.run()
     # Mirror the best snapshot back into the caller's objects.
-    _copy_netlist_into(result.netlist, netlist)
-    _copy_placement_into(result.placement, placement)
+    netlist.assign_from(result.netlist)
+    placement.assign_from(result.placement)
     return result
-
-
-def _copy_netlist_into(source: Netlist, target: Netlist) -> None:
-    # Delegates to assign_from so every field travels — an earlier local
-    # copy here silently dropped ``name``, which broke round-tripping a
-    # rolled-back netlist through the checkpoint serializer.
-    target.assign_from(source)
-
-
-def _copy_placement_into(source: Placement, target: Placement) -> None:
-    copy = source.copy()
-    target.arch = copy.arch
-    target._slot_of = copy._slot_of
-    target._cells_at = copy._cells_at
-    # Rollbacks bypass the per-edit listener hooks, so any attached
-    # incremental STA must be told its whole world changed.
-    target.notify_bulk()

@@ -166,6 +166,20 @@ class Placement:
         other._cells_at = defaultdict(list, {s: list(c) for s, c in self._cells_at.items()})
         return other
 
+    def assign_from(self, other: "Placement") -> None:
+        """Replace this placement's contents with a copy of ``other``.
+
+        Used to roll back speculative transformations while keeping every
+        external reference to this ``Placement`` object valid.  The
+        per-edit listener hooks are bypassed, so listeners (an attached
+        incremental STA) are told their whole world changed.
+        """
+        copy = other.copy()
+        self.arch = copy.arch
+        self._slot_of = copy._slot_of
+        self._cells_at = copy._cells_at
+        self.notify_bulk()
+
     def distance(self, cell_a: int, cell_b: int) -> int:
         """Manhattan distance between two placed cells."""
         return self.arch.distance(self.slot_of(cell_a), self.slot_of(cell_b))

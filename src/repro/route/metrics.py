@@ -8,6 +8,8 @@ Section VII's protocol, after [18]:
 * **infinite-resource** routing — unbounded tracks (``W∞``), "a good
   placement evaluation metric";
 * post-route critical path from actual route-tree hop distances.
+
+Every routing call runs in the caller's process.
 """
 
 from __future__ import annotations
@@ -35,16 +37,14 @@ def find_min_channel_width(
     placement: Placement,
     max_width: int = 128,
     max_iterations: int = 16,
-    jobs: int = 1,
     start_width: int | None = None,
 ) -> int:
     """Smallest routable channel width, per the reference probe protocol.
 
-    Runs the warm-started, bound-pruned, speculative search in
-    :mod:`repro.route.wmin`; ``jobs > 1`` probes speculatively in
-    parallel and ``start_width`` seeds the search with a prior result
-    (e.g. this circuit's width from an earlier run), both without
-    affecting the returned width.
+    Runs the warm-started, bound-pruned search in
+    :mod:`repro.route.wmin`; ``start_width`` seeds the search with a
+    prior result (e.g. this circuit's width from an earlier run)
+    without affecting the returned width.
     """
     with PERF.timer("route.wmin"):
         return find_min_channel_width_fast(
@@ -52,7 +52,6 @@ def find_min_channel_width(
             placement,
             max_width=max_width,
             max_iterations=max_iterations,
-            jobs=jobs,
             start_width=start_width,
         )
 
@@ -62,31 +61,22 @@ def route_low_stress(
     placement: Placement,
     min_width: int | None = None,
     stress_margin: float = 0.2,
-    jobs: int = 1,
     start_width: int | None = None,
 ) -> RoutingResult:
     """Route with ~20% spare tracks over the minimum ([18]'s low stress)."""
     if min_width is None:
         min_width = find_min_channel_width(
-            netlist, placement, jobs=jobs, start_width=start_width
+            netlist, placement, start_width=start_width
         )
     width = max(min_width + 1, math.ceil(min_width * (1.0 + stress_margin)))
     with PERF.timer("route.lowstress"):
         return route_design(netlist, placement, width)
 
 
-def route_infinite(
-    netlist: Netlist, placement: Placement, jobs: int = 1
-) -> RoutingResult:
-    """Route with unbounded resources (every net on a shortest tree).
-
-    ``jobs > 1`` fans the (independent) per-net searches out across
-    worker processes; results are bit-identical for any job count.
-    """
+def route_infinite(netlist: Netlist, placement: Placement) -> RoutingResult:
+    """Route with unbounded resources (every net on a shortest tree)."""
     with PERF.timer("route.winf"):
-        return route_design(
-            netlist, placement, math.inf, max_iterations=1, jobs=jobs
-        )
+        return route_design(netlist, placement, math.inf, max_iterations=1)
 
 
 def routed_critical_delay(

@@ -19,9 +19,7 @@ failure, congested iterations read a per-iteration priced cost vector
 and use an admissible Manhattan-distance A* lookahead, and negotiation
 after the first iteration is *incremental* — only nets crossing an
 over-used segment are ripped up and re-routed, every other route tree is
-reused in place.  The congestion-free ``W∞`` protocol can additionally
-fan out across worker processes (``jobs > 1``) with a deterministic
-net-order merge.
+reused in place.
 
 **Parity.**  The original tuple-keyed router is kept as a parity oracle
 in ``tests/route/oracle.py``.  Under ``W∞`` (and any uniform-cost
@@ -53,7 +51,6 @@ minimum channel width is never worse than the reference router's
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
@@ -99,7 +96,6 @@ def route_design(
     present_factor: float = 0.5,
     present_growth: float = 1.6,
     timing_driven: bool = True,
-    jobs: int = 1,
 ) -> RoutingResult:
     """Route every net; negotiate congestion until legal or give up.
 
@@ -108,15 +104,8 @@ def route_design(
     path delay *from the source through the tree*, weighted by the
     sink's placement-level criticality — so critical connections route
     near-directly instead of detouring through shared Steiner trunks.
-
-    ``jobs > 1`` parallelizes the congestion-free ``W∞`` protocol
-    across worker processes (ignored for finite widths, where
-    negotiation is inherently order-dependent; results are
-    bit-identical for any job count).
     """
     nets = _routable_nets(netlist, placement, timing_driven)
-    if jobs > 1 and math.isinf(channel_width):
-        return _route_winf_parallel(placement.arch, nets, jobs, max_iterations)
     return _route_design_fast(
         placement.arch, nets, channel_width,
         max_iterations, present_factor, present_growth,
@@ -682,75 +671,4 @@ def _route_design_fast(
         routes=routes,
         total_wirelength=ig.total_wirelength(),
         remaining_overuse=ig.total_overuse(),
-    )
-
-
-# ----------------------------------------------------------------------
-# Parallel W∞ (worker-pool pattern shared with core.flow jobs)
-# ----------------------------------------------------------------------
-
-
-def _winf_worker(payload):
-    """Route one chunk of nets on a private W∞ graph (worker process).
-
-    W∞ searches are independent of occupancy (no segment is ever
-    over-used, history stays zero), so a fresh graph per worker routes
-    each net exactly as the serial engine would — parallelism decides
-    who computes a route, never what it is.
-    """
-    arch, chunk = payload
-    ig = IndexedRoutingGraph(arch, math.inf)
-    index = ig.slot_index
-    state = _SearchState(ig.num_slots, ig.num_segments)
-    out = []
-    for net_id, source, sinks, crits in chunk:
-        segs = _route_net_fast(
-            ig,
-            state,
-            net_id,
-            index[source],
-            [index[s] for s in sinks],
-            0.5,
-            {index[s]: c for s, c in crits.items()},
-        )
-        out.append(_build_net_route(ig, net_id, source, sinks, segs))
-    counters = {
-        "route.search_pops": state.pops,
-        "route.search_pushes": state.pushes,
-        "route.search_stale": state.stale,
-        "route.bbox_retries": state.retries,
-        "route.nets_routed": len(out),
-    }
-    return out, counters
-
-
-def _route_winf_parallel(
-    arch: FpgaArch,
-    nets: list[tuple[int, Slot, list[Slot], dict[Slot, float]]],
-    jobs: int,
-    max_iterations: int,
-) -> RoutingResult:
-    chunk_size = max(1, -(-len(nets) // jobs))
-    chunks = [nets[i : i + chunk_size] for i in range(0, len(nets), chunk_size)]
-    by_net: dict[int, NetRoute] = {}
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_winf_worker, (arch, chunk)) for chunk in chunks]
-        for future in futures:
-            chunk_routes, counters = future.result()
-            for route in chunk_routes:
-                by_net[route.net_id] = route
-            if PERF.enabled:
-                PERF.merge_counts(counters)
-    # Deterministic merge: reassemble in the serial engine's net order.
-    routes = {net_id: by_net[net_id] for net_id, _s, _k, _c in nets}
-    if PERF.enabled:
-        PERF.add("route.parallel_nets", len(routes))
-        PERF.add("route.iterations", 1 if max_iterations >= 1 else 0)
-    return RoutingResult(
-        success=True,
-        iterations=1 if max_iterations >= 1 else 0,
-        channel_width=math.inf,
-        routes=routes,
-        total_wirelength=sum(r.wirelength for r in routes.values()),
-        remaining_overuse=0,
     )

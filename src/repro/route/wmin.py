@@ -1,11 +1,11 @@
-"""W_min search engine: warm-started, bound-pruned, speculative-parallel.
+"""W_min search engine: warm-started, bound-pruned, replay-confirmed.
 
 Section VII's evaluation protocol needs ``W_min`` — the smallest channel
 width the router can legally route — for every circuit, and the naive
 way to get it (cold galloping bisection, one full PathFinder negotiation
 per probed width) dominates the whole benchmark run.  This module keeps
 the *protocol answer* bit-identical while restructuring the search
-around four ideas:
+around three ideas:
 
 1. **Demand lower bound** (:func:`demand_lower_bound`).  Two families of
    certificates prove widths unroutable for *any* router: a slot whose
@@ -52,24 +52,15 @@ around four ideas:
    ``W_min`` exceeds the largest power-of-two gallop probe
    ``<= max_width``.
 
-4. **Speculative parallel bisection.**  With ``jobs > 1`` each round
-   probes ``mid`` in-process and, concurrently on a worker, the flanking
-   width the search would probe next *if mid fails* (that probe's seed
-   state is the same either way, so the speculative result is exactly
-   what the sequential search would compute).  Confirmation likewise
-   runs the candidate and ``candidate - 1`` cold probes concurrently.
-   Decisions are always taken in sequential order, so the returned
-   width is independent of ``jobs``.
-
-Everything reports into ``repro.perf`` under ``route.wmin.*`` (probe
-counts, speculation hits, plateau aborts, confirmation mismatches) and
-the phase timers double as trace spans when a tracer is attached.
+Every probe runs in the caller's process.  Everything reports into
+``repro.perf`` under ``route.wmin.*`` (probe counts, plateau aborts,
+confirmation mismatches) and the phase timers double as trace spans
+when a tracer is attached.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 
 from repro.arch.fpga import FpgaArch, Slot
 from repro.netlist.netlist import Netlist
@@ -316,11 +307,6 @@ def _warm_probe(
     return success, routes, ig.history, iterations, aborted, counters
 
 
-def _warm_probe_worker(payload):
-    """Worker-process wrapper for speculative warm probes."""
-    return _warm_probe(*payload)
-
-
 def _verify_solution(
     num_segments: int, routes: dict[int, list[int]], width: float
 ) -> bool:
@@ -354,10 +340,6 @@ def _cold_probe(
     ).success
 
 
-def _cold_probe_worker(payload) -> bool:
-    return _cold_probe(*payload)
-
-
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
@@ -368,15 +350,13 @@ def find_min_channel_width_fast(
     placement: Placement,
     max_width: int = 128,
     max_iterations: int = 16,
-    jobs: int = 1,
     start_width: int | None = None,
 ) -> int:
-    """Warm-started, bound-pruned, speculative W_min search.
+    """Warm-started, bound-pruned W_min search.
 
     Returns the same width as the reference galloping bisection (under
-    its own monotone-routability assumption), for any ``jobs`` count
-    and any ``start_width`` hint; see the module docstring for the
-    protocol.
+    its own monotone-routability assumption), for any ``start_width``
+    hint; see the module docstring for the protocol.
     """
     arch = placement.arch
     nets = _routable_nets(netlist, placement, True)
@@ -392,270 +372,207 @@ def find_min_channel_width_fast(
         raise RuntimeError(f"unroutable even at channel width {max_width}")
 
     cold_cache: dict[int, bool] = {}
-    pool = ProcessPoolExecutor(max_workers=1) if jobs > 1 else None
-    try:
 
-        def cold(width: int) -> bool:
-            if width < lower:
-                return False  # the bound is the certificate — no probe
-            if width not in cold_cache:
-                with PERF.timer("route.wmin.confirm"):
-                    cold_cache[width] = _cold_probe(
-                        arch, nets, width, max_iterations
-                    )
-                if PERF.enabled:
-                    PERF.add("route.wmin.cold_probes")
-            return cold_cache[width]
-
-        def cold_pair(width: int, below: int) -> tuple[bool, bool]:
-            """Cold-probe ``width`` and ``below`` (concurrently if pooled)."""
-            if (
-                pool is not None
-                and width not in cold_cache
-                and below not in cold_cache
-                and below >= lower
-            ):
-                future = pool.submit(
-                    _cold_probe_worker, (arch, nets, below, max_iterations)
-                )
-                ok = cold(width)
-                with PERF.timer("route.wmin.confirm"):
-                    cold_cache[below] = future.result()
-                if PERF.enabled:
-                    PERF.add("route.wmin.cold_probes")
-                return ok, cold_cache[below]
-            return cold(width), cold(below)
-
-        def cold_bisect(low: int, high: int) -> int:
-            """Plain bisection on the cold oracle; ``high`` is known good."""
-            while low < high:
-                mid = (low + high) // 2
-                if cold(mid):
-                    high = mid
-                else:
-                    low = mid + 1
-            return high
-
-        replay_cache: dict[int, tuple] = {}
-
-        def replay_probe(width: int, seed_routes, seed_hist):
-            """Full-effort seeded probe (the confirmation's failure side).
-
-            Probes from the pristine history-free W∞ seed are
-            memoized: the probe is deterministic in ``width`` for that
-            seed, so phase A's terminal boundary step and phase B's
-            confirmation replay at the same width share one run.
-            """
-            cacheable = seed_routes is winf_routes and seed_hist is None
-            if cacheable and width in replay_cache:
-                if PERF.enabled:
-                    PERF.add("route.wmin.replay_cache_hits")
-                return replay_cache[width]
-            with PERF.timer("route.wmin.replay"):
-                ok, routes, hist, _iters, _aborted, counters = _warm_probe(
-                    arch, items, width, seed_routes, seed_hist,
-                    max_iterations, full_effort=True,
+    def cold(width: int) -> bool:
+        if width < lower:
+            return False  # the bound is the certificate — no probe
+        if width not in cold_cache:
+            with PERF.timer("route.wmin.confirm"):
+                cold_cache[width] = _cold_probe(
+                    arch, nets, width, max_iterations
                 )
             if PERF.enabled:
-                counters = dict(counters)
-                # A replay is its own probe class, not a warm probe.
-                counters.pop("route.wmin.warm_probes", None)
-                PERF.merge_counts(counters)
-                PERF.add("route.wmin.replay_probes")
-            result = (ok, routes, hist)
-            if cacheable:
-                replay_cache[width] = result
-            return result
+                PERF.add("route.wmin.cold_probes")
+        return cold_cache[width]
 
-        # The W∞ solution seeds both the hint check and the warm search.
-        with PERF.timer("route.wmin.winf"):
-            items = _indexed_items(template, nets)
-            warm_routes, peak = _route_winf(template, items)
-        warm_hist: list[float] | None = None
-        # Pristine W∞ snapshot: probe seeds are never mutated (each probe
-        # copies them), so holding the reference is enough.  The
-        # confirmation replays from this history-free seed only.
-        winf_routes = warm_routes
-
-        # --- start-width hint: one cold probe + one replay probe ------
-        hi = None
-        if start_width is not None:
-            hinted = max(lower, min(start_width, ceiling))
-            if cold(hinted):
-                if hinted - 1 < lower:
-                    if PERF.enabled:
-                        PERF.add("route.wmin.hint_hits")
-                    return hinted
-                ok_below, routes, hist = replay_probe(
-                    hinted - 1, warm_routes, warm_hist
-                )
-                if not ok_below:
-                    # Same verdict the reference hint path reaches with
-                    # a second cold probe (see phase B's exactness
-                    # argument: a full-effort seeded probe that fails is
-                    # taken as the cold failure it replays).
-                    if PERF.enabled:
-                        PERF.add("route.wmin.hint_hits")
-                    return hinted
-                # Hint too high: the replay probe found a legal
-                # solution below it — bisect down from there.
-                warm_routes, warm_hist = routes, hist
-                hi = hinted - 1
-            # Mis-hint low: the cold cache keeps what we learned; fall
-            # through to the full search.
-
-        # --- phase A: warm candidate search ---------------------------
-        candidate = ceiling
-        if hi is None:
-            if peak <= ceiling:
-                hi = peak  # the W∞ solution itself is legal at this width
+    def cold_bisect(low: int, high: int) -> int:
+        """Plain bisection on the cold oracle; ``high`` is known good."""
+        while low < high:
+            mid = (low + high) // 2
+            if cold(mid):
+                high = mid
             else:
+                low = mid + 1
+        return high
+
+    replay_cache: dict[int, tuple] = {}
+
+    def replay_probe(width: int, seed_routes, seed_hist):
+        """Full-effort seeded probe (the confirmation's failure side).
+
+        Probes from the pristine history-free W∞ seed are
+        memoized: the probe is deterministic in ``width`` for that
+        seed, so phase A's terminal boundary step and phase B's
+        confirmation replay at the same width share one run.
+        """
+        cacheable = seed_routes is winf_routes and seed_hist is None
+        if cacheable and width in replay_cache:
+            if PERF.enabled:
+                PERF.add("route.wmin.replay_cache_hits")
+            return replay_cache[width]
+        with PERF.timer("route.wmin.replay"):
+            ok, routes, hist, _iters, _aborted, counters = _warm_probe(
+                arch, items, width, seed_routes, seed_hist,
+                max_iterations, full_effort=True,
+            )
+        if PERF.enabled:
+            counters = dict(counters)
+            # A replay is its own probe class, not a warm probe.
+            counters.pop("route.wmin.warm_probes", None)
+            PERF.merge_counts(counters)
+            PERF.add("route.wmin.replay_probes")
+        result = (ok, routes, hist)
+        if cacheable:
+            replay_cache[width] = result
+        return result
+
+    # The W∞ solution seeds both the hint check and the warm search.
+    with PERF.timer("route.wmin.winf"):
+        items = _indexed_items(template, nets)
+        warm_routes, peak = _route_winf(template, items)
+    warm_hist: list[float] | None = None
+    # Pristine W∞ snapshot: probe seeds are never mutated (each probe
+    # copies them), so holding the reference is enough.  The
+    # confirmation replays from this history-free seed only.
+    winf_routes = warm_routes
+
+    # --- start-width hint: one cold probe + one replay probe ----------
+    hi = None
+    if start_width is not None:
+        hinted = max(lower, min(start_width, ceiling))
+        if cold(hinted):
+            if hinted - 1 < lower:
+                if PERF.enabled:
+                    PERF.add("route.wmin.hint_hits")
+                return hinted
+            ok_below, routes, hist = replay_probe(
+                hinted - 1, warm_routes, warm_hist
+            )
+            if not ok_below:
+                # Same verdict the reference hint path reaches with
+                # a second cold probe (see phase B's exactness
+                # argument: a full-effort seeded probe that fails is
+                # taken as the cold failure it replays).
+                if PERF.enabled:
+                    PERF.add("route.wmin.hint_hits")
+                return hinted
+            # Hint too high: the replay probe found a legal
+            # solution below it — bisect down from there.
+            warm_routes, warm_hist = routes, hist
+            hi = hinted - 1
+        # Mis-hint low: the cold cache keeps what we learned; fall
+        # through to the full search.
+
+    # --- phase A: warm candidate search -------------------------------
+    candidate = ceiling
+    if hi is None:
+        if peak <= ceiling:
+            hi = peak  # the W∞ solution itself is legal at this width
+        else:
+            success, routes, hist, _iters, _aborted, counters = _warm_probe(
+                arch, items, ceiling, warm_routes, None, max_iterations
+            )
+            if PERF.enabled:
+                PERF.merge_counts(counters)
+            if success:
+                hi = ceiling
+                warm_routes, warm_hist = routes, hist
+            else:
+                hi = None  # no warm solution at all: cold probes decide
+    if hi is not None:
+        with PERF.timer("route.wmin.search"):
+            lo = lower
+            while lo < hi:
+                mid = (lo + hi) // 2
                 success, routes, hist, _iters, _aborted, counters = _warm_probe(
-                    arch, items, ceiling, warm_routes, None, max_iterations
+                    arch, items, mid, warm_routes, warm_hist, max_iterations
                 )
                 if PERF.enabled:
                     PERF.merge_counts(counters)
                 if success:
-                    hi = ceiling
+                    hi = mid
                     warm_routes, warm_hist = routes, hist
                 else:
-                    hi = None  # no warm solution at all: cold probes decide
-        if hi is not None:
-            with PERF.timer("route.wmin.search"):
-                lo = lower
-                pending = None  # speculative (width, result) for the next round
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if pending is not None and pending[0] == mid:
-                        success, routes, hist = pending[1]
-                        pending = None
-                        if PERF.enabled:
-                            PERF.add("route.wmin.spec_hits")
-                    else:
-                        speculative = None
-                        if pool is not None and mid + 1 < hi:
-                            # The width probed next if ``mid`` fails —
-                            # same seed state either way, so the worker
-                            # computes exactly the sequential result.
-                            flank = (mid + 1 + hi) // 2
-                            speculative = (
-                                flank,
-                                pool.submit(
-                                    _warm_probe_worker,
-                                    (arch, items, flank, warm_routes,
-                                     warm_hist, max_iterations),
-                                ),
-                            )
-                        success, routes, hist, _iters, _aborted, counters = (
-                            _warm_probe(
-                                arch, items, mid, warm_routes, warm_hist,
-                                max_iterations,
-                            )
-                        )
-                        if PERF.enabled:
-                            PERF.merge_counts(counters)
-                        if speculative is not None:
-                            if success:
-                                speculative[1].cancel()
-                                if PERF.enabled:
-                                    PERF.add("route.wmin.spec_misses")
-                            else:
-                                s_ok, s_routes, s_hist, _i, _a, s_counters = (
-                                    speculative[1].result()
-                                )
-                                if PERF.enabled:
-                                    PERF.merge_counts(s_counters)
-                                pending = (
-                                    speculative[0],
-                                    (s_ok, s_routes, s_hist),
-                                )
-                    if success:
-                        hi = mid
-                        warm_routes, warm_hist = routes, hist
-                    else:
-                        lo = mid + 1
-                candidate = hi
+                    lo = mid + 1
+            candidate = hi
 
-        # --- phase B: replay-verified confirmation --------------------
-        # The reference protocol's last two probes are cold routes at
-        # ``candidate`` (succeeds) and ``candidate - 1`` (fails).  The
-        # success side stays an exact cold probe — success probes
-        # converge in a handful of iterations, so it is cheap.  The
-        # failure side — the expensive probe, a full ``max_iterations``
-        # cold negotiation — is replaced by a *replay-verified* pair:
-        # the warm solution is independently re-checked to be legal at
-        # ``candidate`` (so the width we are about to certify has a real
-        # solution), and a full-effort probe seeded from the pristine
-        # W∞ solution replays the descent to ``candidate - 1``.  If
-        # that replay *succeeds*, the warm search overshot: slide the
-        # candidate down onto the replay's solution and confirm again
-        # (each slide strictly decreases the candidate, so this
-        # terminates).  If it *fails*, its verdict is taken for the
-        # cold failure it replays — the one assumption in the
-        # protocol, sibling to the monotone-routability assumption
-        # the reference bisection itself makes, and enforced empirically
-        # by the width-equality suites.  Any observable mismatch
-        # (verification failure, or the candidate failing its cold
-        # probe) falls back to the full cold protocol below, unchanged.
-        if hi is not None:
-            while True:
-                if candidate - 1 < lower:
-                    if cold(candidate):
-                        return candidate
-                    break  # cold gallop decides below
-                if not _verify_solution(
-                    template.num_segments, warm_routes, candidate
-                ):
-                    if PERF.enabled:
-                        PERF.add("route.wmin.verify_failures")
-                    break  # distrust the warm state entirely
-                # Replay from the pristine W∞ seed with no history —
-                # the same seed the hint path replays from, and the
-                # trajectory closest to the cold probe this stands in
-                # for.  The warm state's accrued history can wedge the
-                # descent where a fresh start does not (observed on
-                # misex3), so it is never used as a replay seed.
-                ok_below, routes, hist = replay_probe(
-                    candidate - 1, winf_routes, None
-                )
-                if ok_below:
-                    candidate -= 1
-                    warm_routes, warm_hist = routes, hist
-                    if PERF.enabled:
-                        PERF.add("route.wmin.replay_slides")
-                    continue
+    # --- phase B: replay-verified confirmation ------------------------
+    # The reference protocol's last two probes are cold routes at
+    # ``candidate`` (succeeds) and ``candidate - 1`` (fails).  The
+    # success side stays an exact cold probe — success probes
+    # converge in a handful of iterations, so it is cheap.  The
+    # failure side — the expensive probe, a full ``max_iterations``
+    # cold negotiation — is replaced by a *replay-verified* pair:
+    # the warm solution is independently re-checked to be legal at
+    # ``candidate`` (so the width we are about to certify has a real
+    # solution), and a full-effort probe seeded from the pristine
+    # W∞ solution replays the descent to ``candidate - 1``.  If
+    # that replay *succeeds*, the warm search overshot: slide the
+    # candidate down onto the replay's solution and confirm again
+    # (each slide strictly decreases the candidate, so this
+    # terminates).  If it *fails*, its verdict is taken for the
+    # cold failure it replays — the one assumption in the
+    # protocol, sibling to the monotone-routability assumption
+    # the reference bisection itself makes, and enforced empirically
+    # by the width-equality suites.  Any observable mismatch
+    # (verification failure, or the candidate failing its cold
+    # probe) falls back to the full cold protocol below, unchanged.
+    if hi is not None:
+        while True:
+            if candidate - 1 < lower:
                 if cold(candidate):
                     return candidate
                 break  # cold gallop decides below
+            if not _verify_solution(
+                template.num_segments, warm_routes, candidate
+            ):
+                if PERF.enabled:
+                    PERF.add("route.wmin.verify_failures")
+                break  # distrust the warm state entirely
+            # Replay from the pristine W∞ seed with no history —
+            # the same seed the hint path replays from, and the
+            # trajectory closest to the cold probe this stands in
+            # for.  The warm state's accrued history can wedge the
+            # descent where a fresh start does not (observed on
+            # misex3), so it is never used as a replay seed.
+            ok_below, routes, hist = replay_probe(
+                candidate - 1, winf_routes, None
+            )
+            if ok_below:
+                candidate -= 1
+                warm_routes, warm_hist = routes, hist
+                if PERF.enabled:
+                    PERF.add("route.wmin.replay_slides")
+                continue
+            if cold(candidate):
+                return candidate
+            break  # cold gallop decides below
 
-        # --- fallback: the original cold confirmation -----------------
-        if candidate - 1 < lower or cold_cache.get(candidate) is False:
-            ok, ok_below = cold(candidate), False
-        else:
-            ok, ok_below = cold_pair(candidate, candidate - 1)
-        if ok and not ok_below:
-            return candidate
-        if PERF.enabled:
-            PERF.add("route.wmin.confirm_mismatch")
-        if ok:  # candidate - 1 also cold-routes: the answer is below
-            return cold_bisect(lower, candidate - 1)
-        # The candidate itself doesn't cold-route: gallop the cold
-        # oracle upward, mirroring the reference schedule (and its
-        # raise boundary at the gallop ceiling).
-        low = candidate + 1
-        width = low
-        high = None
-        while width <= ceiling:
-            if cold(width):
-                high = width
-                break
-            low = width + 1
-            if width == ceiling:
-                break
-            width = min(width * 2, ceiling)
-        if high is None:
-            raise RuntimeError(f"unroutable even at channel width {max_width}")
-        return cold_bisect(low, high)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+    # --- fallback: the original cold confirmation ---------------------
+    if candidate - 1 < lower or cold_cache.get(candidate) is False:
+        ok, ok_below = cold(candidate), False
+    else:
+        ok, ok_below = cold(candidate), cold(candidate - 1)
+    if ok and not ok_below:
+        return candidate
+    if PERF.enabled:
+        PERF.add("route.wmin.confirm_mismatch")
+    if ok:  # candidate - 1 also cold-routes: the answer is below
+        return cold_bisect(lower, candidate - 1)
+    # The candidate itself doesn't cold-route: gallop the cold
+    # oracle upward, mirroring the reference schedule (and its
+    # raise boundary at the gallop ceiling).
+    low = candidate + 1
+    width = low
+    high = None
+    while width <= ceiling:
+        if cold(width):
+            high = width
+            break
+        low = width + 1
+        if width == ceiling:
+            break
+        width = min(width * 2, ceiling)
+    if high is None:
+        raise RuntimeError(f"unroutable even at channel width {max_width}")
+    return cold_bisect(low, high)

@@ -56,7 +56,6 @@ CAMPAIGN_DEFAULTS = {
     "timeout": None,
     "retries": 2,
     "backoff": 0.5,
-    "route_jobs": 1,
 }
 
 
@@ -232,9 +231,7 @@ def _execute_place_route(
         "moves_accepted": placed.moves_accepted,
     }
     if kind == "route":
-        routed = api.route(
-            design, placed.placement, jobs=cfg.route_jobs,
-        )
+        routed = api.route(design, placed.placement)
         journal.event("phase", phase="route",
                       channel_width=routed.channel_width,
                       wall_seconds=round(routed.seconds, 3))
@@ -269,7 +266,7 @@ def _execute_optimize(config: dict, run_dir: Path) -> str:
     payload = json.loads((run_dir / RESULT_FILE).read_text())
     payload["kind"] = "optimize"
     if cfg.route:
-        routed = api.route(design, placed.placement, jobs=cfg.route_jobs)
+        routed = api.route(design, placed.placement)
         payload["route"] = {
             "w_inf": routed.w_inf,
             "w_ls": routed.w_ls,
@@ -303,7 +300,6 @@ def _execute_campaign(config: dict, run_dir: Path, journal: FlowJournal) -> str:
             timeout=config["timeout"],
             retries=config["retries"],
             backoff=config["backoff"],
-            route_jobs=config["route_jobs"],
         )
     result = {
         "kind": "campaign",

@@ -4,7 +4,7 @@ import pytest
 
 from repro.bench import runner
 from repro.bench.suite import resolve_names
-from repro.cli import main as cli_main
+from repro.cli import EXIT_MISSING, main as cli_main
 
 RUN_FLAGS = [
     "--circuits", "tseng", "--algorithms", "rt",
@@ -44,15 +44,18 @@ class TestCampaignCli:
         assert "no result" in capsys.readouterr().err
         assert cli_main(["campaign", "report", camp, "--partial"]) == 0
 
-    def test_missing_store_paths_exit_2(self, capsys, tmp_path):
+    def test_missing_store_paths_exit_3(self, capsys, tmp_path):
         nowhere = str(tmp_path / "nowhere")
-        for argv in (
-            ["campaign", "status", nowhere],
-            ["campaign", "report", nowhere],
-            ["campaign", "resume", nowhere],
+        for argv, message in (
+            (["campaign", "status", nowhere], "no campaign store"),
+            (["campaign", "report", nowhere], "no campaign store"),
+            (["campaign", "resume", nowhere], "no campaign store"),
+            (["netlist", "info", nowhere], "no store"),
         ):
-            assert cli_main(argv) == 2, argv
-            assert "no campaign store" in capsys.readouterr().err
+            assert cli_main(argv) == EXIT_MISSING, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"repro {argv[0]} {argv[1]}: {message} at ")
+            assert err.count("\n") == 1, err
 
     def test_run_twice_in_same_dir_is_an_error(self, capsys, tmp_path):
         camp = str(tmp_path / "camp")

@@ -97,8 +97,9 @@ class TestWminCache:
 class TestOldStores:
     def test_retired_routing_keys_resume_and_report(self, tmp_path):
         """A store written when routing still had selectable variants
-        records ``wmin_engine``/``route_kernel``/``route_search`` in its
-        config; it must still resume and render its tables."""
+        and a W∞ worker pool records ``wmin_engine``/``route_kernel``/
+        ``route_search``/``route_jobs`` in its config; it must still
+        resume and render its tables."""
         config = CampaignConfig(
             circuits=["tseng"], algorithms=["rt"], scale=0.02, effort=0.2
         )
@@ -110,6 +111,7 @@ class TestOldStores:
                 "wmin_engine": "fast",
                 "route_kernel": "vector",
                 "route_search": "wavefront",
+                "route_jobs": 2,
             },
         )
         store.add_tasks(build_matrix(config))

@@ -20,11 +20,7 @@ from repro.core.checkpoint import (
     placement_to_dict,
 )
 from repro.core.config import ReplicationConfig, RunConfig
-from repro.core.flow import (
-    IterationRecord,
-    _copy_netlist_into,
-    _copy_placement_into,
-)
+from repro.core.flow import IterationRecord
 from repro.core.signatures import LexScheme
 from repro.bench.families import random_family_instance
 from repro.place.initial import random_placement
@@ -213,10 +209,11 @@ class TestFlowStatePayload:
 
 
 class TestSnapshotCopyHelpers:
-    """Regression tests for the snapshot-rollback copy helpers.
+    """Regression tests for the snapshot-rollback copies,
+    ``Netlist.assign_from`` and ``Placement.assign_from``.
 
-    ``_copy_netlist_into`` used to drop the netlist ``name`` (it copied
-    the five content fields by hand instead of delegating to
+    The flow's netlist rollback used to drop the netlist ``name`` (it
+    copied the five content fields by hand instead of delegating to
     ``assign_from``), so a rollback silently renamed the design.
     """
 
@@ -224,19 +221,19 @@ class TestSnapshotCopyHelpers:
     def test_netlist_copy_round_trip(self, seed):
         source, _ = family_pair(seed)
         target = diamond_netlist("other-name")
-        _copy_netlist_into(source, target)
+        target.assign_from(source)
         assert_netlists_identical(source, target)
 
     def test_netlist_copy_preserves_name(self):
         source = diamond_netlist("the-design")
         target = diamond_netlist("scratch")
-        _copy_netlist_into(source, target)
+        target.assign_from(source)
         assert target.name == "the-design"
 
     def test_netlist_copy_is_deep(self):
         source = diamond_netlist()
         target = diamond_netlist()
-        _copy_netlist_into(source, target)
+        target.assign_from(source)
         source.replicate_cell(source.cell_by_name("top"))
         assert len(target.cells) != len(source.cells)
 
@@ -244,7 +241,7 @@ class TestSnapshotCopyHelpers:
     def test_placement_copy_round_trip(self, seed):
         netlist, source = family_pair(seed)
         target = random_placement(netlist, source.arch, seed=seed + 17)
-        _copy_placement_into(source, target)
+        target.assign_from(source)
         assert_placements_identical(source, target)
         assert target.arch is source.arch
 
@@ -254,6 +251,6 @@ class TestSnapshotCopyHelpers:
         arch_b = FpgaArch(7, 7)
         source = place_in_row(netlist, arch_a)
         target = place_in_row(netlist, arch_b)
-        _copy_placement_into(source, target)
+        target.assign_from(source)
         assert target.arch is source.arch
         assert_placements_identical(source, target)

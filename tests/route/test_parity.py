@@ -5,7 +5,7 @@ router lives in :mod:`tests.route.oracle`):
 
 * ``W∞`` (uniform-cost) routing is **bit-identical** to the reference —
   same segments, same sink hops, same routed critical delay — for any
-  placement, and for any ``jobs`` count.
+  placement.
 * Congested negotiation in *exact mode* replays the reference router
   decision-for-decision.
 * The default (heuristic) schedule never fails at a channel width where
@@ -104,27 +104,6 @@ class TestWinfBitIdentity:
             dr = routed_critical_delay(nl, placement, ref).critical_delay
             df = routed_critical_delay(nl, placement, fast).critical_delay
             assert df == dr, f"seed {seed}"
-
-
-class TestParallelWinf:
-    def test_jobs_do_not_change_results(self):
-        """Parallel W∞ is bit-identical for jobs in {1, 2, 4}."""
-        for seed in (0, 3, 11, 27):
-            nl, placement = random_circuit(seed)
-            serial = route_design(nl, placement, math.inf, max_iterations=1)
-            for jobs in (1, 2, 4):
-                par = route_design(
-                    nl, placement, math.inf, max_iterations=1, jobs=jobs
-                )
-                assert par.success
-                assert par.total_wirelength == serial.total_wirelength
-                assert list(par.routes) == list(serial.routes), (
-                    f"seed {seed} jobs {jobs}: net order differs"
-                )
-                for net_id, r in serial.routes.items():
-                    p = par.routes[net_id]
-                    assert p.segments == r.segments, f"seed {seed} jobs {jobs}"
-                    assert p.sink_hops == r.sink_hops, f"seed {seed} jobs {jobs}"
 
 
 class TestCongestedParity:

@@ -6,9 +6,9 @@ Three layers:
   :func:`~tests.route.oracle.galloping_bisect` against a synthetic
   monotone-routability oracle: returns the true boundary, raises above
   the gallop ceiling, handles width-1-routable designs.
-* **Engine equality** — the fast engine (warm probes, bounds,
-  speculation, hints) returns exactly the reference protocol's width on
-  random circuits, for any ``jobs`` and any ``start_width``.
+* **Engine equality** — the fast engine (warm probes, bounds, replay
+  confirmation, hints) returns exactly the reference protocol's width
+  on random circuits, for any ``start_width``.
 * **Full-suite equality** — all 20 suite circuits at a small scale,
   behind the ``slow`` marker (``pytest -m slow``).
 """
@@ -97,15 +97,6 @@ class TestEngineEquality:
             fast = find_min_channel_width(nl, placement, max_width=64)
             assert fast == ref, f"seed {seed}: fast {fast} != reference {ref}"
 
-    def test_jobs_do_not_change_width(self):
-        for seed in (1, 4, 7):
-            nl, placement = random_circuit(seed)
-            serial = find_min_channel_width_fast(nl, placement, max_width=64)
-            parallel = find_min_channel_width_fast(
-                nl, placement, max_width=64, jobs=2
-            )
-            assert parallel == serial, f"seed {seed}"
-
     def test_start_width_hint_never_changes_width(self):
         """Exact, low, high and absurd hints all return the true width."""
         for seed in (2, 5):
@@ -179,9 +170,9 @@ class TestFullSuiteEquality:
                 mismatches.append((name, fast, ref))
         assert not mismatches, f"fast != reference on: {mismatches}"
 
-    def test_all_suite_circuits_jobs_hint_matrix(self):
-        """All 20 suite circuits: every (jobs, start_width) combination
-        of the fast engine returns the identical width."""
+    def test_all_suite_circuits_hint_matrix(self):
+        """All 20 suite circuits: every ``start_width`` hint of the fast
+        engine returns the identical width."""
         from repro.bench.suite import suite_circuit, suite_names
         from repro.place.initial import random_placement
 
@@ -190,11 +181,10 @@ class TestFullSuiteEquality:
             netlist, arch = suite_circuit(name, scale=0.02)
             placement = random_placement(netlist, arch, seed=0)
             truth = find_min_channel_width_fast(netlist, placement)
-            for jobs in (1, 2):
-                for hint in (None, truth, truth + 2):
-                    got = find_min_channel_width_fast(
-                        netlist, placement, jobs=jobs, start_width=hint
-                    )
-                    if got != truth:
-                        mismatches.append((name, jobs, hint, got, truth))
+            for hint in (truth, truth + 2):
+                got = find_min_channel_width_fast(
+                    netlist, placement, start_width=hint
+                )
+                if got != truth:
+                    mismatches.append((name, hint, got, truth))
         assert not mismatches, f"width diverged on: {mismatches}"

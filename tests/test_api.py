@@ -1,5 +1,6 @@
 """The repro.api facade: typed results, run-dir artifacts, deprecations."""
 
+import inspect
 import json
 import warnings
 
@@ -126,6 +127,25 @@ class TestRoute:
         assert routed.w_ls >= routed.w_inf - 1e-9
         assert routed.channel_width > 0
         assert routed.wirelength > 0
+
+    def test_routing_calls_take_no_jobs(self):
+        """Routing runs in the caller's process: no call takes a worker
+        count."""
+        from repro.route import (
+            find_min_channel_width,
+            route_design,
+            route_infinite,
+            route_low_stress,
+        )
+
+        for call in (
+            route_design,
+            find_min_channel_width,
+            route_low_stress,
+            route_infinite,
+            api.route,
+        ):
+            assert "jobs" not in inspect.signature(call).parameters, call
 
 
 class TestTopLevelExports:
