@@ -254,7 +254,6 @@ def replication_config(
     algorithm: str,
     effort: float = 1.0,
     batch_sinks: int = 1,
-    jobs: int = 1,
 ) -> ReplicationConfig:
     """Config for one algorithm key at a relative effort level.
 
@@ -263,7 +262,7 @@ def replication_config(
     the same mapping (they used to drift).
     """
     return RunConfig(
-        algorithm=algorithm, effort=effort, batch_sinks=batch_sinks, jobs=jobs
+        algorithm=algorithm, effort=effort, batch_sinks=batch_sinks
     ).replication_config()
 
 
@@ -273,7 +272,6 @@ def run_variant(
     effort: float = 1.0,
     seed: int = 0,
     batch_sinks: int = 1,
-    jobs: int = 1,
 ) -> VariantRun:
     """Run one optimization algorithm against a baseline and re-route."""
     netlist = baseline.netlist.clone()
@@ -287,7 +285,7 @@ def run_variant(
         opt: OptimizationResult = optimize_replication(
             netlist,
             placement,
-            replication_config(algorithm, effort, batch_sinks=batch_sinks, jobs=jobs),
+            replication_config(algorithm, effort, batch_sinks=batch_sinks),
         )
         replicated, unified = opt.total_replicated, opt.total_unified
         history = opt.history
@@ -409,14 +407,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--batch-sinks",
         type=int,
-        default=1,
-        help="tied critical endpoints embedded per iteration (1 = paper loop)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for batched embeddings (bit-identical results)",
+        default=None,
+        help="overhead only: tied critical endpoints embedded per iteration "
+        "(default 1 = paper loop)",
     )
     parser.add_argument(
         "--run-dir",
@@ -441,6 +434,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
+    if args.experiment != "overhead":
+        for flag, value in (("--batch-sinks", args.batch_sinks),
+                            ("--perf-json", args.perf_json)):
+            if value is not None:
+                parser.error(f"{flag} applies to overhead only")
     if args.perf_json is not None:
         # Fail before the (long) experiment, not after it.
         try:
@@ -501,8 +499,7 @@ def main(argv: list[str] | None = None) -> int:
                 "rt",
                 effort=args.effort,
                 seed=args.seed,
-                batch_sinks=args.batch_sinks,
-                jobs=args.jobs,
+                batch_sinks=args.batch_sinks or 1,
             )
             total_pr += baseline.place_route_seconds
             total_opt += run.seconds

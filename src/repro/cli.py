@@ -104,9 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--batch-sinks", type=int, default=1, dest="batch_sinks",
                      help="tied critical endpoints embedded per iteration "
                      "(1 = paper's one-sink loop)")
-    run.add_argument("--jobs", type=int, default=1,
-                     help="worker processes for batched embeddings "
-                     "(results are bit-identical for any value)")
     run.add_argument("--perf", action="store_true",
                      help="print perf counters/timers after the flow")
     run.add_argument("--route", action="store_true",
@@ -529,6 +526,8 @@ def cmd_trace_view(args) -> int:
 def cmd_netlist_build(args) -> int:
     from repro.netlist.store import NetlistStore, NetlistStoreError
 
+    if args.blif is not None and not args.blif.exists():
+        raise CliError(f"no BLIF file at {args.blif}", EXIT_MISSING)
     store = NetlistStore(args.store)
     try:
         if args.blif is not None:
@@ -547,8 +546,7 @@ def cmd_netlist_build(args) -> int:
                 store, args.circuit, scale=args.scale, lut_size=args.lut_size
             )
     except (OSError, NetlistStoreError) as exc:
-        print(f"repro netlist build: {exc}", file=sys.stderr)
-        return 1
+        raise CliError(str(exc)) from None
     info = store.design_info(key)
     print(
         f"built {key} in {args.store}: {info['cells']} cells, "
@@ -586,12 +584,15 @@ def _parse_faults(entries: list[str]) -> dict[str, int]:
     faults: dict[str, int] = {}
     for entry in entries:
         task_id, _, count = entry.partition("=")
-        if not task_id or not count:
-            raise SystemExit(
-                f"repro campaign: bad --inject-fault {entry!r} "
-                f"(expected TASK=N)"
+        try:
+            attempts = int(count)
+        except ValueError:
+            attempts = None
+        if not task_id or attempts is None:
+            raise CliError(
+                f"bad --inject-fault {entry!r} (expected TASK=N)", EXIT_USAGE
             )
-        faults[task_id] = int(count)
+        faults[task_id] = attempts
     return faults
 
 
@@ -608,6 +609,7 @@ def _print_campaign_summary(summary) -> int:
 
 
 def cmd_campaign_run(args) -> int:
+    faults = _parse_faults(args.inject_fault)
     try:
         summary = api.campaign_run(
             args.campaign_dir,
@@ -623,7 +625,7 @@ def cmd_campaign_run(args) -> int:
             perf=args.perf,
             trace=args.trace,
             netlist_store=args.netlist_store,
-            faults=_parse_faults(args.inject_fault),
+            faults=faults,
             echo=print,
         )
     except ValueError as exc:

@@ -257,9 +257,6 @@ class FlowState:
                 "unified_cum": self.unified_cum,
                 "initial_delay": self.initial_delay,
                 "best_delay": self.best_delay,
-                # The flow has no randomized components (the paper notes
-                # it is fully deterministic); recorded for forward compat.
-                "rng_state": None,
             },
             "history": [record_to_dict(record) for record in self.history],
             "arch": arch_to_dict(self.placement.arch),

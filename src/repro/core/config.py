@@ -6,9 +6,15 @@ Two layers:
   loop (ε growth, tree caps, cost model, batching).  Serializable via
   :meth:`to_dict`/:meth:`from_dict`; the dict's hash keys checkpoints.
 * :class:`RunConfig` — the *execution* knobs of one end-to-end run
-  (which circuit, placement effort, worker counts, routing), shared by
-  the CLI, the :mod:`repro.api` facade and the benchmark runner so the
-  flag surface cannot drift between them again.
+  (which circuit, placement seed and effort, routing, checkpointing),
+  shared by the CLI, the :mod:`repro.api` facade and the benchmark
+  runner so the flag surface cannot drift between them again.
+
+Both run in the caller's process; the only process parallelism is a
+campaign's ``--jobs`` and the serve daemon's ``--workers``.  Stored
+configs written while the flow had knobs that never changed a result
+(worker counts, an unused seed) still load: ``from_dict`` drops exactly
+those retired keys.
 """
 
 from __future__ import annotations
@@ -16,6 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 from repro.core.signatures import DelayScheme, MaxArrivalScheme, scheme_by_name
+
+
+#: Keys of checkpoints written while tied-sink embedding had a worker
+#: pool (``jobs``) and the config carried an unused ``seed``.
+_RETIRED_FLOW_KEYS = ("jobs", "seed")
+
+#: Keys of serve job rows written while routing (``route_jobs``) and
+#: tied-sink embedding (``jobs``) had worker pools.
+_RETIRED_RUN_KEYS = ("route_jobs", "jobs")
 
 
 @dataclass
@@ -72,12 +87,6 @@ class ReplicationConfig:
             1 reproduces the paper's one-sink-per-iteration loop exactly;
             larger values embed several tied sinks against the same STA
             snapshot and merge the results in deterministic sink order.
-        jobs: Worker processes for batched per-sink embeddings (execution
-            knob).  Results are bit-identical for any value: parallelism
-            only changes who computes each sink's embedding, never the
-            merge order.  Only effective when ``batch_sinks > 1``.
-        seed: Reserved for deterministic tie-breaking (the flow itself
-            has no randomized components, as the paper notes).
     """
 
     scheme: DelayScheme = field(default_factory=MaxArrivalScheme)
@@ -100,8 +109,6 @@ class ReplicationConfig:
     allow_ff_relocation: bool = True
     ff_relocation_slack: float = 0.05
     batch_sinks: int = 1
-    jobs: int = 1
-    seed: int = 0
 
     def to_dict(self) -> dict:
         """JSON-ready dict; the scheme is stored by its canonical key.
@@ -118,7 +125,7 @@ class ReplicationConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ReplicationConfig":
-        kwargs = dict(data)
+        kwargs = {k: v for k, v in data.items() if k not in _RETIRED_FLOW_KEYS}
         kwargs["scheme"] = scheme_by_name(kwargs["scheme"])
         return cls(**kwargs)
 
@@ -153,7 +160,6 @@ class RunConfig:
         effort: Replication-flow effort dial (scales iteration budget,
             patience and tree caps together).
         batch_sinks: Tied critical endpoints embedded per iteration.
-        jobs: Worker processes for batched embeddings.
         route: Run low-stress + infinite routing at the end.
         checkpoint_every: Checkpoint the flow every N iterations
             (0 = disabled; needs a run directory).
@@ -173,7 +179,6 @@ class RunConfig:
     algorithm: str = "rt"
     effort: float = 1.0
     batch_sinks: int = 1
-    jobs: int = 1
     route: bool = False
     checkpoint_every: int = 0
     netlist_store: str | None = None
@@ -199,9 +204,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        # Rows stored while W-infinity routing had a worker pool carry
-        # its knob; it never changed a result, so reading drops it.
-        return cls(**{k: v for k, v in data.items() if k != "route_jobs"})
+        return cls(**{k: v for k, v in data.items() if k not in _RETIRED_RUN_KEYS})
 
     def replication_config(self) -> ReplicationConfig:
         """The :class:`ReplicationConfig` this run's dials map to.
@@ -218,6 +221,4 @@ class RunConfig:
             max_tree_nodes=max(12, int(48 * self.effort)),
             max_labels_per_vertex=6,
             batch_sinks=self.batch_sinks,
-            jobs=self.jobs,
-            seed=self.seed,
         )

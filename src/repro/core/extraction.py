@@ -48,21 +48,12 @@ def apply_embedding(
     placement: Placement,
     graph: GridEmbeddingGraph,
     info: ReplicationTreeInfo,
-    result: EmbeddingResult | None,
-    label: Label | None,
-    placements: dict[int, int] | None = None,
+    result: EmbeddingResult,
+    label: Label,
 ) -> ApplyResult:
-    """Realize the embedding chosen by ``label``; returns statistics.
-
-    ``placements`` (tree-node index -> embedding-graph vertex) can be
-    passed directly instead of ``result``/``label`` — the batched flow
-    extracts placements inside worker processes and ships only the flat
-    dict back, since label chains are linked object graphs.
-    """
+    """Realize the embedding chosen by ``label``; returns statistics."""
     tree = info.tree
-    if placements is None:
-        assert result is not None and label is not None
-        placements = result.extract_placements(label)
+    placements = result.extract_placements(label)
     outcome = ApplyResult()
 
     # Pass 1: realize every movable node (reuse an equivalent cell at the

@@ -20,7 +20,6 @@ VI:
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.core.checkpoint import FlowState
@@ -43,7 +42,7 @@ from repro.place.placement import Placement
 from repro.timing.bounds import delay_lower_bound
 from repro.timing.incremental import IncrementalSTA
 from repro.timing.spt import build_spt
-from repro.timing.sta import Endpoint, analyze
+from repro.timing.sta import Endpoint
 from repro.trace import TRACER
 
 
@@ -131,85 +130,6 @@ class _MutableLoopState:
     best_placement: Placement
 
 
-def _embed_for_sink(
-    netlist: Netlist,
-    placement: Placement,
-    graph: GridEmbeddingGraph,
-    config: ReplicationConfig,
-    sink: Endpoint,
-    eps: float,
-    analysis=None,
-) -> tuple[ReplicationTreeInfo, dict[int, int]] | None:
-    """Embed one sink's replication tree; strictly read-only.
-
-    The shared kernel of batched embedding: the serial loop and the
-    worker processes both run exactly this function, which is what makes
-    ``jobs=1`` and ``jobs=N`` bit-identical.  Returns the tree info plus
-    the chosen flat node->vertex placement, or ``None`` when the sink has
-    no useful embedding.  FF relocation is never batched, so the root is
-    always fixed here.
-    """
-    if analysis is None:
-        analysis = analyze(netlist, placement)
-    current_delay = analysis.critical_delay
-    spt = build_spt(netlist, analysis, sink)
-    info = build_replication_tree(
-        netlist, placement, graph, analysis, spt, eps, config, movable_root=False
-    )
-    if info is None or info.num_movable == 0:
-        return None
-    model = placement.arch.delay_model
-    cost_fn = make_placement_cost(
-        netlist, placement, graph, config, info, analysis=analysis
-    )
-    options = EmbedderOptions(
-        connection_delay=model.connection_delay,
-        delay_bound=current_delay * (1.0 + config.delay_bound_slack),
-        max_labels_per_vertex=config.max_labels_per_vertex,
-        max_cohabiting_children=config.max_cohabiting_children,
-    )
-    embedder = FaninTreeEmbedder(
-        graph, scheme=config.scheme, placement_cost=cost_fn, options=options
-    )
-    result = embedder.embed(info.tree)
-    if not len(result.root_front):
-        return None
-    label = result.pick(delay_bound=delay_lower_bound(netlist, placement))
-    if label is None:
-        return None
-    return info, result.extract_placements(label)
-
-
-def _embed_sink_worker(payload):
-    """Process-pool entry: rebuild the embedding graph, embed one sink.
-
-    The payload carries pickled netlist/placement copies (listeners are
-    stripped by ``__getstate__``); the grid graph is rebuilt locally from
-    the architecture, which is cheaper than shipping its CSR arrays and
-    guarantees identical vertex numbering.  Perf counters accumulated in
-    the worker are returned as a delta so the parent can fold them into
-    its registry (workers inherit the fork-time counter state, hence the
-    before/after subtraction rather than a plain snapshot).
-    """
-    netlist, placement, config, sink, eps = payload
-    graph = GridEmbeddingGraph(
-        placement.arch,
-        wire_cost_per_unit=config.wire_cost_per_unit,
-        include_pads=True,
-    )
-    before = PERF.snapshot()["counters"] if PERF.enabled else None
-    out = _embed_for_sink(netlist, placement, graph, config, sink, eps)
-    delta = None
-    if before is not None:
-        after = PERF.snapshot()["counters"]
-        delta = {
-            name: count - before.get(name, 0)
-            for name, count in after.items()
-            if count != before.get(name, 0)
-        }
-    return out, delta
-
-
 class ReplicationOptimizer:
     """Placement-coupled replication engine over a placed netlist.
 
@@ -228,7 +148,6 @@ class ReplicationOptimizer:
         self.placement = placement
         self.config = config if config is not None else ReplicationConfig()
         self._sta: IncrementalSTA | None = None
-        self._pool: ProcessPoolExecutor | None = None
         #: Per-iteration observability extras (tree size, embedding-front
         #: size, legalizer work) gathered by the helpers and journaled.
         self._iter_stats: dict = {}
@@ -329,14 +248,10 @@ class ReplicationOptimizer:
             )
         except BaseException as exc:
             # Crash path: leave readable artifacts behind.  The journal
-            # line is flushed before re-raising, and the STA/pool are
-            # detached so the caller's netlist is not left with stale
-            # listeners.
+            # line is flushed before re-raising, and the STA is detached
+            # so the caller's netlist is not left with stale listeners.
             if journal is not None:
                 journal.event("crash", error=repr(exc))
-            if self._pool is not None:
-                self._pool.shutdown(wait=False)
-                self._pool = None
             sta.detach()
             self._sta = None
             raise
@@ -350,9 +265,6 @@ class ReplicationOptimizer:
         # solution seen ... so that we can always report the best").
         # Detach the engine first: the optimizer's netlist/placement
         # references are about to be swapped out from under it.
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
         sta.detach()
         self._sta = None
         self.netlist = best_netlist
@@ -424,13 +336,12 @@ class ReplicationOptimizer:
             replicated = unified = 0
             if len(batch) > 1:
                 with PERF.timer("flow.embed"):
-                    payloads = self._embed_batch(batch, analysis, epsilon)
-                applied = [p for p in payloads if p is not None]
+                    applied = self._embed_batch(batch, analysis, epsilon)
                 self._iter_stats["tree_nodes"] = sum(
-                    len(info.tree) for info, _p in applied
+                    len(info.tree) for info, _e, _l in applied
                 )
                 self._iter_stats["tree_movable"] = sum(
-                    info.num_movable for info, _p in applied
+                    info.num_movable for info, _e, _l in applied
                 )
                 self._iter_stats["embed_candidates"] = len(applied)
                 if not applied:
@@ -451,18 +362,8 @@ class ReplicationOptimizer:
                     else:
                         note = f"batch of {len(applied)}"
             else:
-                spt = build_spt(self.netlist, analysis, sink)
-                info = build_replication_tree(
-                    self.netlist,
-                    self.placement,
-                    self.graph,
-                    analysis,
-                    spt,
-                    eps,
-                    config,
-                    movable_root=relocate_ff,
-                )
-                if info is None or info.num_movable == 0:
+                info = self._replication_tree(analysis, sink, eps, relocate_ff)
+                if info is None:
                     note = "trivial tree"
                 else:
                     self._iter_stats["tree_nodes"] = len(info.tree)
@@ -588,6 +489,25 @@ class ReplicationOptimizer:
     # ------------------------------------------------------------------
     # Pieces
     # ------------------------------------------------------------------
+
+    def _replication_tree(
+        self, analysis, sink: Endpoint, eps: float, movable_root: bool
+    ) -> ReplicationTreeInfo | None:
+        """The sink's replication tree, or ``None`` if nothing can move."""
+        spt = build_spt(self.netlist, analysis, sink)
+        info = build_replication_tree(
+            self.netlist,
+            self.placement,
+            self.graph,
+            analysis,
+            spt,
+            eps,
+            self.config,
+            movable_root=movable_root,
+        )
+        if info is None or info.num_movable == 0:
+            return None
+        return info
 
     def _embed_and_pick(
         self,
@@ -738,43 +658,23 @@ class ReplicationOptimizer:
     def _embed_batch(self, batch, analysis, epsilon):
         """Embed every batch sink against the same STA snapshot.
 
-        ``jobs`` decides who runs :func:`_embed_for_sink` — this process
-        or a pool worker on pickled copies — never what it computes, so
-        the returned list is identical for any job count.
+        Returns ``(info, embedding, label)`` for each sink, in batch
+        order, that has a useful embedding.  FF relocation is never
+        batched, so every root stays fixed.
         """
-        config = self.config
-        eps_list = [epsilon.get(sink, 0.0) for sink in batch]
-        if config.jobs > 1:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(max_workers=config.jobs)
-            futures = [
-                self._pool.submit(
-                    _embed_sink_worker,
-                    (self.netlist, self.placement, config, sink, eps),
-                )
-                for sink, eps in zip(batch, eps_list)
-            ]
-            results = []
-            for future in futures:
-                out, counter_delta = future.result()
-                results.append(out)
-                if counter_delta:
-                    PERF.merge_counts(counter_delta)
-            if PERF.enabled:
-                PERF.add("flow.parallel_sinks", len(batch))
-            return results
-        return [
-            _embed_for_sink(
-                self.netlist,
-                self.placement,
-                self.graph,
-                config,
-                sink,
-                eps,
-                analysis=analysis,
+        picked = []
+        for sink in batch:
+            info = self._replication_tree(
+                analysis, sink, epsilon.get(sink, 0.0), movable_root=False
             )
-            for sink, eps in zip(batch, eps_list)
-        ]
+            if info is None:
+                continue
+            chosen = self._embed_and_pick(
+                info, analysis, analysis.critical_delay, relocate_ff=False
+            )
+            if chosen is not None:
+                picked.append((info, *chosen))
+        return picked
 
     def _embedding_cells_alive(self, info: ReplicationTreeInfo) -> bool:
         """Can this tree still be applied?  Earlier batch members may have
@@ -800,19 +700,13 @@ class ReplicationOptimizer:
         sta = self._sta
         replicated = 0
         swept = 0
-        for info, placements in applied:
+        for info, embedding, label in applied:
             if not self._embedding_cells_alive(info):
                 continue
             snapshot_nl = self.netlist.clone()
             snapshot_pl = self.placement.copy()
             outcome = apply_embedding(
-                self.netlist,
-                self.placement,
-                self.graph,
-                info,
-                None,
-                None,
-                placements=placements,
+                self.netlist, self.placement, self.graph, info, embedding, label
             )
             with PERF.timer("flow.sta"):
                 runaway = sta.analysis().critical_delay > limit + 1e-9

@@ -55,14 +55,6 @@ class Netlist:
         #: every notification costs one truthiness test.
         self._listeners: list = []
 
-    def __getstate__(self):
-        # Listeners (e.g. an attached incremental STA engine) are
-        # session-local observers, not netlist content: pickling for a
-        # worker process must not drag them along.
-        state = self.__dict__.copy()
-        state["_listeners"] = []
-        return state
-
     # ------------------------------------------------------------------
     # Edit listeners
     # ------------------------------------------------------------------

@@ -34,9 +34,9 @@ from contextlib import contextmanager
 class PerfRegistry:
     """Process-wide counter/timer registry (single-threaded updates).
 
-    Worker threads/processes of the parallel embedder aggregate their
-    own counts and merge them back through :meth:`merge_counts`, so the
-    registry itself never needs locking on the hot path.
+    Code that aggregates its own counts (the W_min probes) folds them
+    back through :meth:`merge_counts`; nothing updates the registry
+    concurrently, so it never needs locking on the hot path.
     """
 
     __slots__ = ("enabled", "tracer", "_counters", "_timers", "_maxes")

@@ -33,12 +33,6 @@ class Placement:
         #: ``pl_moved(cell_id)`` and ``pl_bulk()``.
         self._listeners: list = []
 
-    def __getstate__(self):
-        # Listeners are session-local observers (see Netlist.__getstate__).
-        state = self.__dict__.copy()
-        state["_listeners"] = []
-        return state
-
     # ------------------------------------------------------------------
     # Move listeners
     # ------------------------------------------------------------------

@@ -100,3 +100,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Table I" in out
         assert "tseng" in out
+
+    @pytest.mark.parametrize("experiment", ["table1", "table2", "table3", "fig14"])
+    @pytest.mark.parametrize(
+        "flag",
+        [["--batch-sinks", "2"], ["--perf-json", "perf.json"]],
+        ids=["batch-sinks", "perf-json"],
+    )
+    def test_overhead_only_flags_rejected_elsewhere(
+        self, capsys, experiment, flag
+    ):
+        """The misspelt circuit would fail later: the flag check comes
+        first, before any work starts."""
+        with pytest.raises(SystemExit) as exc:
+            runner.main([experiment, "--circuits", "tsneg", *flag])
+        assert exc.value.code == 2
+        assert f"{flag[0]} applies to overhead only" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import pytest
 
 from repro.bench import runner
 from repro.bench.suite import resolve_names
-from repro.cli import EXIT_MISSING, main as cli_main
+from repro.cli import EXIT_MISSING, EXIT_USAGE, main as cli_main
 
 RUN_FLAGS = [
     "--circuits", "tseng", "--algorithms", "rt",
@@ -51,11 +51,14 @@ class TestCampaignCli:
             (["campaign", "report", nowhere], "no campaign store"),
             (["campaign", "resume", nowhere], "no campaign store"),
             (["netlist", "info", nowhere], "no store"),
+            (["netlist", "build", nowhere, "--blif",
+              str(tmp_path / "missing.blif")], "no BLIF file"),
         ):
             assert cli_main(argv) == EXIT_MISSING, argv
             err = capsys.readouterr().err
             assert err.startswith(f"repro {argv[0]} {argv[1]}: {message} at ")
             assert err.count("\n") == 1, err
+        assert not (tmp_path / "nowhere").exists()
 
     def test_run_twice_in_same_dir_is_an_error(self, capsys, tmp_path):
         camp = str(tmp_path / "camp")
@@ -64,12 +67,19 @@ class TestCampaignCli:
         assert cli_main(["campaign", "run", camp, *RUN_FLAGS]) == 2
         assert "campaign_resume" in capsys.readouterr().err
 
-    def test_bad_inject_fault_spec(self, tmp_path):
-        with pytest.raises(SystemExit):
-            cli_main([
+    def test_bad_inject_fault_spec(self, capsys, tmp_path):
+        for spec in ("not-a-spec", "TASK=abc", "=3"):
+            code = cli_main([
                 "campaign", "run", str(tmp_path / "camp"), *RUN_FLAGS,
-                "--inject-fault", "not-a-spec",
+                "--inject-fault", spec,
             ])
+            assert code == EXIT_USAGE, spec
+            err = capsys.readouterr().err
+            assert err == (
+                f"repro campaign run: bad --inject-fault {spec!r} "
+                "(expected TASK=N)\n"
+            )
+        assert not (tmp_path / "camp").exists()
 
     def test_unknown_circuit_rejected_up_front(self, capsys, tmp_path):
         code = cli_main([

@@ -126,7 +126,7 @@ class TestConfigHash:
 
     def test_run_config_round_trip_and_mapping(self):
         run = RunConfig(circuit="tseng", algorithm="lex-3", effort=0.5,
-                        batch_sinks=2, jobs=2, checkpoint_every=4)
+                        batch_sinks=2, checkpoint_every=4)
         restored = RunConfig.from_dict(json.loads(json.dumps(run.to_dict())))
         assert restored == run
         config = restored.replication_config()

@@ -7,6 +7,8 @@ finish **bit-identical** to the uninterrupted run — same final netlist
 stacks), same critical delay, same iteration history.
 """
 
+import json
+
 import pytest
 
 from repro import api
@@ -128,3 +130,24 @@ def test_api_resume_round_trip(tmp_path):
     assert resumed.iterations == baseline.iterations
     assert_netlists_identical(baseline.netlist, resumed.netlist)
     assert_placements_identical(baseline.placement, resumed.placement)
+
+
+def test_checkpoint_with_retired_keys_resumes(tmp_path):
+    """Checkpoints written while tied-sink embedding had a worker pool
+    store ``jobs``, an unused ``seed`` and an ``rng_state`` placeholder;
+    reading drops them and the run finishes as before."""
+    design = api.load_design(circuit="tseng", scale=0.05)
+    placement = random_placement(design.netlist, design.arch, seed=3)
+    run_dir = tmp_path / "run"
+    baseline = api.optimize(
+        design, placement, config=CONFIG, run_dir=run_dir, checkpoint_every=2
+    )
+    path = run_dir / "checkpoint.json"
+    payload = json.loads(path.read_text())
+    payload["config"].update(jobs=2, seed=3)
+    payload["state"]["rng_state"] = None
+    path.write_text(json.dumps(payload))
+
+    resumed = api.resume(run_dir)
+    assert resumed.final_delay == baseline.final_delay
+    assert resumed.iterations == baseline.iterations

@@ -110,10 +110,15 @@ class TestExecute:
         assert first == second
 
     def test_stored_route_jobs_key_still_executes(self, tmp_path):
-        """Rows stored while W∞ routing had a worker pool carry
-        ``route_jobs``; the daemon re-executes them after a restart.
-        New submissions naming it are rejected like any unknown key."""
-        config = {**normalize_config("route", PLACE_CONFIG), "route_jobs": 2}
+        """Rows stored while W∞ routing and tied-sink embedding had
+        worker pools carry ``route_jobs`` and ``jobs``; the daemon
+        re-executes them after a restart.  New submissions naming
+        either are rejected like any unknown key."""
+        config = {
+            **normalize_config("route", PLACE_CONFIG),
+            "route_jobs": 2,
+            "jobs": 2,
+        }
         text = execute_job({
             "job_id": "route-x", "kind": "route",
             "config": config, "run_dir": str(tmp_path / "run"),
@@ -121,8 +126,9 @@ class TestExecute:
         payload = json.loads(text)
         assert payload["kind"] == "route"
         assert payload["route"]["channel_width"] > 0
-        with pytest.raises(JobError, match="unknown config key"):
-            normalize_config("route", {**PLACE_CONFIG, "route_jobs": 2})
+        for key in ("route_jobs", "jobs"):
+            with pytest.raises(JobError, match="unknown config key"):
+                normalize_config("route", {**PLACE_CONFIG, key: 2})
 
     def test_crash_is_journaled(self, tmp_path):
         config = normalize_config("place", PLACE_CONFIG)

@@ -147,18 +147,21 @@ class TestUsage:
 
 class TestRoutingFlags:
     @pytest.mark.parametrize(
-        "main, argv",
+        "main, argv, has_jobs",
         [
-            (cli_main, ["run"]),
-            (cli_main, ["route"]),
-            (cli_main, ["campaign", "run"]),
-            (runner_main, []),
+            (cli_main, ["run"], False),
+            (cli_main, ["route"], False),
+            (cli_main, ["campaign", "run"], True),
+            (runner_main, [], False),
         ],
         ids=["run", "route", "campaign-run", "bench-runner"],
     )
-    def test_help_lists_no_router_variant_flags(self, main, argv, capsys):
-        """Routing has one implementation and runs in the caller's
-        process, so no flag picks an implementation or a process count."""
+    def test_help_lists_no_router_variant_flags(
+        self, main, argv, has_jobs, capsys
+    ):
+        """Routing has one implementation, and routing and embedding run
+        in the caller's process, so no flag picks an implementation or a
+        process count; only a campaign takes ``--jobs``."""
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--help"])
         assert exc.value.code == 0
@@ -167,3 +170,4 @@ class TestRoutingFlags:
             r"--(engine|wmin-engine|kernel|route-kernel|route-search|route-jobs)\b",
             help_text,
         )
+        assert bool(re.search(r"--jobs\b", help_text)) == has_jobs

@@ -1,4 +1,4 @@
-"""The package is stdlib-only: importing it pulls in no third-party code."""
+"""Importing the package pulls in no third-party code and no process pools."""
 
 import os
 import subprocess
@@ -8,13 +8,13 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_package_imports_without_numpy():
-    """A fresh interpreter importing every entry point never loads numpy
-    (the check runs in a subprocess so earlier tests cannot mask it)."""
+def loaded_in_fresh_interpreter(imports: str, modules: list[str]) -> list[str]:
+    """Which of ``modules`` a fresh interpreter has loaded after
+    ``import <imports>`` (a subprocess, so earlier tests cannot mask it)."""
     code = (
         "import sys\n"
-        "import repro, repro.cli, repro.campaign, repro.serve\n"
-        "print('numpy' in sys.modules)\n"
+        f"import {imports}\n"
+        f"print(','.join(m for m in {modules!r} if m in sys.modules))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -23,4 +23,19 @@ def test_package_imports_without_numpy():
         check=True,
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
-    assert out.stdout.strip() == "False"
+    return [name for name in out.stdout.strip().split(",") if name]
+
+
+def test_package_imports_without_numpy():
+    """Importing every entry point never loads numpy."""
+    assert loaded_in_fresh_interpreter(
+        "repro, repro.cli, repro.campaign, repro.serve", ["numpy"]
+    ) == []
+
+
+def test_flow_and_cli_load_no_process_pools():
+    """The flow and the CLI run in the caller's process; only campaign
+    and serve workers (loaded on use) need multiprocessing."""
+    assert loaded_in_fresh_interpreter(
+        "repro, repro.cli", ["multiprocessing", "concurrent.futures"]
+    ) == []
