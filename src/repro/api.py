@@ -20,11 +20,11 @@ checkpoint and finishes it bit-identically.
 Run-directory layout (all files optional except the checkpoint)::
 
     run_dir/
-      config.json       # RunConfig echo + replication-config hash
+      config.json       # RunConfig.to_dict() (written by ``repro run``)
       journal.jsonl     # one flushed line per iteration (+ start/result)
       checkpoint.json   # latest flow state (atomic replace)
       trace.json        # Chrome trace_event JSON (with --trace)
-      result.json       # final summary of a completed run
+      result.json       # final summary + replication-config hash
 """
 
 from __future__ import annotations

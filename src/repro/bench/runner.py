@@ -23,7 +23,12 @@ from dataclasses import dataclass, field
 
 from repro.arch.fpga import FpgaArch
 from repro.baselines.local_replication import best_of_runs
-from repro.bench.suite import LARGE_CIRCUITS, resolve_names, suite_circuit
+from repro.bench.suite import (
+    LARGE_CIRCUITS,
+    positive_scale,
+    resolve_names,
+    suite_circuit,
+)
 from repro.core.checkpoint import (
     arch_from_dict,
     arch_to_dict,
@@ -393,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
         "experiment",
         choices=["table1", "table2", "table3", "fig14", "overhead"],
     )
-    parser.add_argument("--scale", type=float, default=0.08)
+    parser.add_argument("--scale", type=positive_scale, default=0.08)
     parser.add_argument("--effort", type=float, default=1.0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(

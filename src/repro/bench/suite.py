@@ -10,6 +10,9 @@ via the same min-square + pad-bound sizing rule the paper uses.
 
 from __future__ import annotations
 
+import argparse
+import math
+
 from repro.arch.fpga import FpgaArch
 from repro.bench.generator import CircuitSpec, generate_circuit
 from repro.netlist.netlist import Netlist
@@ -44,6 +47,23 @@ SPEC_BY_NAME = {spec.name: spec for spec in SUITE_SPECS}
 
 #: Circuits the paper classifies as large (>= 3K cells at full scale).
 LARGE_CIRCUITS = {"frisc", "spla", "elliptic", "ex1010", "pdc", "s38417", "s38584.1", "clma"}
+
+
+def positive_scale(text: str) -> float:
+    """``argparse`` type of every ``--scale`` flag: a finite number > 0.
+
+    The ``repro`` CLI and the benchmark runner share it, so a bad scale
+    exits 2 with a usage line before any store or directory is created.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number, got {text!r}"
+        )
+    return value
 
 
 def suite_circuit(

@@ -78,26 +78,12 @@ class CampaignStoreMissing(CampaignStoreError):
 
 
 class CampaignStore:
-    """Facade over one campaign's SQLite database (per-op connections).
-
-    Subclasses may extend the database with additional tables by
-    overriding :attr:`SCHEMA_EXTENSIONS` (the serve daemon's job queue
-    does this — same file-per-directory idiom, same durability rules)
-    and :attr:`FILENAME` to live under a different default name.
-    """
-
-    #: Default database filename used by :meth:`in_dir`/:meth:`open_existing`.
-    FILENAME = STORE_FILE
-
-    #: Extra ``executescript`` blocks applied after the base schema.
-    SCHEMA_EXTENSIONS: tuple[str, ...] = ()
+    """Facade over one campaign's SQLite database (per-op connections)."""
 
     def __init__(self, path: str | Path) -> None:
         self.path = ensure_parent_dir(path)
         with self._connect() as conn:
             conn.executescript(_SCHEMA)
-            for extension in self.SCHEMA_EXTENSIONS:
-                conn.executescript(extension)
 
     @contextmanager
     def _connect(self):
@@ -116,12 +102,12 @@ class CampaignStore:
     @classmethod
     def in_dir(cls, campaign_dir: str | Path) -> "CampaignStore":
         """Open (creating if needed) the store of a campaign directory."""
-        return cls(Path(campaign_dir) / cls.FILENAME)
+        return cls(Path(campaign_dir) / STORE_FILE)
 
     @classmethod
     def open_existing(cls, campaign_dir: str | Path) -> "CampaignStore":
         """Open the store of an existing campaign; error when absent."""
-        path = Path(campaign_dir) / cls.FILENAME
+        path = Path(campaign_dir) / STORE_FILE
         if not path.exists():
             raise CampaignStoreMissing(f"no campaign store at {path}")
         return cls(path)

@@ -9,9 +9,6 @@ Subcommands::
     repro trace-view summarize a Chrome trace produced by --trace
     repro campaign   durable experiment matrix (run/resume/status/report)
     repro netlist    build or inspect a shared netlist store
-    repro serve      run the replication service daemon
-    repro submit     submit a job to a running service
-    repro jobs       list/inspect/cancel jobs on a running service
 
 Examples::
 
@@ -35,7 +32,7 @@ import sys
 from pathlib import Path
 
 from repro import api
-from repro.bench.suite import SPEC_BY_NAME
+from repro.bench.suite import SPEC_BY_NAME, positive_scale
 from repro.core.checkpoint import CheckpointError
 from repro.core.config import RunConfig
 from repro.perf import PERF
@@ -44,9 +41,9 @@ from repro.viz import render_history, render_placement
 
 #: Exit codes: user errors get distinct nonzero codes and a one-line
 #: stderr message — never a traceback.
-EXIT_FAILURE = 1   # the operation itself failed (flow error, failed job)
+EXIT_FAILURE = 1   # the operation itself failed (flow error, failed task)
 EXIT_USAGE = 2     # bad flag combination / invalid argument value
-EXIT_MISSING = 3   # a named input does not exist (file, store, daemon)
+EXIT_MISSING = 3   # a named input does not exist (file, store)
 
 
 class CliError(Exception):
@@ -62,6 +59,19 @@ class CliError(Exception):
 # ----------------------------------------------------------------------
 
 
+def _non_negative_int(text: str) -> int:
+    """``argparse`` type of ``--checkpoint-every`` (0 = no checkpoints)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 0, got {text!r}"
+        )
+    return value
+
+
 def _add_input_arguments(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--blif", type=Path, help="input BLIF netlist")
@@ -70,7 +80,7 @@ def _add_input_arguments(parser: argparse.ArgumentParser) -> None:
         choices=sorted(SPEC_BY_NAME),
         help="generate an MCNC-calibrated suite circuit",
     )
-    parser.add_argument("--scale", type=float, default=0.08,
+    parser.add_argument("--scale", type=positive_scale, default=0.08,
                         help="suite-circuit scale (with --circuit)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--place-effort", type=float, default=0.3,
@@ -114,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trace", nargs="?", const=True, default=False,
                      metavar="FILE",
                      help="write a Chrome trace (default: run-dir/trace.json)")
-    run.add_argument("--checkpoint-every", type=int, default=0,
+    run.add_argument("--checkpoint-every", type=_non_negative_int, default=0,
                      dest="checkpoint_every", metavar="N",
                      help="checkpoint the flow every N iterations "
                      "(needs --run-dir)")
@@ -171,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="CSV of replication algorithms")
     crun.add_argument("--seeds", default="0",
                       help="CSV of placement seeds (default: 0)")
-    crun.add_argument("--scale", type=float, default=0.08)
+    crun.add_argument("--scale", type=positive_scale, default=0.08)
     crun.add_argument("--effort", type=float, default=1.0)
     crun.add_argument("--jobs", type=int, default=1,
                       help="worker processes (one task per process)")
@@ -236,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(SPEC_BY_NAME),
         help="stream an MCNC-calibrated suite circuit into the store",
     )
-    nbuild.add_argument("--scale", type=float, default=0.08,
+    nbuild.add_argument("--scale", type=positive_scale, default=0.08,
                         help="suite-circuit scale (with --circuit)")
     nbuild.add_argument("--lut-size", type=int, default=4, dest="lut_size")
     nbuild.set_defaults(func=cmd_netlist_build)
@@ -246,89 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ninfo.add_argument("store", type=Path, help="store database path")
     ninfo.set_defaults(func=cmd_netlist_info)
-
-    serve = sub.add_parser(
-        "serve",
-        help="run the replication service daemon "
-        "(durable job queue + HTTP API over a state directory)",
-    )
-    serve.add_argument("state_dir", type=Path,
-                       help="directory for serve.sqlite, serve.json and "
-                       "per-job run directories")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=0,
-                       help="bind port (0 = ephemeral; the bound port is "
-                       "written to serve.json)")
-    serve.add_argument("--workers", type=int, default=2,
-                       help="max concurrent worker processes")
-    serve.add_argument("--retries", type=int, default=0,
-                       help="re-runs after a job's first failed attempt")
-    serve.add_argument("--job-timeout", type=float, default=None,
-                       dest="job_timeout", metavar="S",
-                       help="kill a worker after S seconds")
-    serve.add_argument("--no-cache", action="store_true", dest="no_cache",
-                       help="disable the config-hash result cache")
-    serve.add_argument("--perf-json", type=Path, default=None,
-                       dest="perf_json", metavar="FILE",
-                       help="write the serve.* perf snapshot here on "
-                       "shutdown")
-    serve.set_defaults(func=cmd_serve)
-
-    def _add_server_arguments(parser: argparse.ArgumentParser) -> None:
-        where = parser.add_mutually_exclusive_group(required=True)
-        where.add_argument("--server", metavar="HOST:PORT",
-                           help="daemon address")
-        where.add_argument("--dir", type=Path, dest="state_dir",
-                           help="daemon state directory (reads serve.json)")
-
-    submit = sub.add_parser(
-        "submit", help="submit a job to a running service"
-    )
-    _add_server_arguments(submit)
-    submit.add_argument("--kind", choices=("place", "optimize", "route",
-                                           "campaign"),
-                        default="optimize")
-    submit.add_argument("--config", type=Path, default=None, metavar="FILE",
-                        help="JSON config file (flags below override it)")
-    submit.add_argument("--circuit", default=None)
-    submit.add_argument("--blif", type=Path, default=None)
-    submit.add_argument("--scale", type=float, default=None)
-    submit.add_argument("--seed", type=int, default=None)
-    submit.add_argument("--algorithm", default=None)
-    submit.add_argument("--effort", type=float, default=None)
-    submit.add_argument("--route", action="store_true", default=None,
-                        help="route after optimizing (optimize kind)")
-    submit.add_argument("--client", default="anon",
-                        help="client token for multi-tenant accounting")
-    submit.add_argument("--no-cache", action="store_true", dest="no_cache",
-                        help="force a fresh run even on a cache hit")
-    submit.add_argument("--wait", action="store_true",
-                        help="block until the job finishes; print its result")
-    submit.add_argument("--stream", action="store_true",
-                        help="stream the job's journal events while waiting")
-    submit.add_argument("--timeout", type=float, default=None, metavar="S",
-                        help="give up waiting after S seconds (with --wait)")
-    submit.set_defaults(func=cmd_submit)
-
-    jobs = sub.add_parser(
-        "jobs", help="list/inspect/cancel jobs on a running service"
-    )
-    _add_server_arguments(jobs)
-    jobs.add_argument("job_id", nargs="?", default=None,
-                      help="show one job (default: list)")
-    jobs.add_argument("--client", default=None, help="filter by client token")
-    jobs.add_argument("--status", default=None,
-                      choices=("pending", "running", "done", "failed",
-                               "cancelled"),
-                      help="filter by status")
-    jobs.add_argument("--limit", type=int, default=None)
-    jobs.add_argument("--result", action="store_true",
-                      help="print the job's stored result.json text")
-    jobs.add_argument("--events", action="store_true",
-                      help="stream the job's journal events")
-    jobs.add_argument("--cancel", action="store_true",
-                      help="cancel the job")
-    jobs.set_defaults(func=cmd_jobs)
 
     return parser
 
@@ -504,6 +431,11 @@ def cmd_trace_view(args) -> int:
         raise CliError(
             f"cannot read {args.trace_file}: {exc}", EXIT_MISSING
         ) from None
+    if not isinstance(trace, dict):
+        raise CliError(
+            f"{args.trace_file} must hold a JSON object with traceEvents",
+            EXIT_USAGE,
+        )
     rows = summarize_trace(trace)
     if not rows:
         print("(no complete spans in trace)")
@@ -675,173 +607,6 @@ def cmd_campaign_report(args) -> int:
     except (CampaignStoreError, ValueError) as exc:
         raise CliError(str(exc), EXIT_USAGE) from None
     return 0
-
-
-# ----------------------------------------------------------------------
-# Serve subcommands
-# ----------------------------------------------------------------------
-
-
-def cmd_serve(args) -> int:
-    from repro.serve import ServeDaemon
-
-    args.state_dir.mkdir(parents=True, exist_ok=True)
-    daemon = ServeDaemon(
-        args.state_dir,
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        retries=args.retries,
-        job_timeout=args.job_timeout,
-        cache=not args.no_cache,
-        echo=print,
-    )
-    daemon.run()
-    if args.perf_json is not None:
-        args.perf_json.parent.mkdir(parents=True, exist_ok=True)
-        args.perf_json.write_text(
-            json.dumps(PERF.snapshot(), indent=2, sort_keys=True) + "\n"
-        )
-        print(f"wrote perf snapshot to {args.perf_json}")
-    return 0
-
-
-def _serve_client(args):
-    from repro.serve import ServeClient, ServeError
-
-    if args.server is not None:
-        host, _, port = args.server.rpartition(":")
-        if not host or not port.isdigit():
-            raise CliError(
-                f"bad --server {args.server!r} (expected HOST:PORT)",
-                EXIT_USAGE,
-            )
-        return ServeClient(host, int(port))
-    try:
-        return ServeClient.from_dir(args.state_dir)
-    except ServeError as exc:
-        raise CliError(exc.message, EXIT_MISSING) from None
-
-
-def _serve_error_code(exc) -> int:
-    if exc.status == 0:  # connection-level: daemon not reachable
-        return EXIT_MISSING
-    if exc.status in (400, 409):
-        return EXIT_USAGE
-    if exc.status == 404:
-        return EXIT_MISSING
-    return EXIT_FAILURE
-
-
-def _submit_config(args) -> dict:
-    config: dict = {}
-    if args.config is not None:
-        try:
-            config = json.loads(args.config.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(
-                f"cannot read --config {args.config}: {exc}", EXIT_MISSING
-            ) from None
-        if not isinstance(config, dict):
-            raise CliError(
-                f"--config {args.config} must hold a JSON object", EXIT_USAGE
-            )
-    overrides = {
-        "circuit": args.circuit,
-        "blif": None if args.blif is None else str(args.blif),
-        "scale": args.scale,
-        "seed": args.seed,
-        "algorithm": args.algorithm,
-        "effort": args.effort,
-        "route": args.route,
-    }
-    config.update(
-        {key: value for key, value in overrides.items() if value is not None}
-    )
-    return config
-
-
-def _print_job_events(client, job_id: str) -> None:
-    for event in client.events(job_id):
-        print(json.dumps(event))
-
-
-def cmd_submit(args) -> int:
-    from repro.serve import JobFailed, ServeError
-
-    client = _serve_client(args)
-    try:
-        ack = client.submit(
-            args.kind,
-            _submit_config(args),
-            client=args.client,
-            cache=not args.no_cache,
-        )
-    except ServeError as exc:
-        raise CliError(exc.message, _serve_error_code(exc)) from None
-    except OSError as exc:
-        raise CliError(f"cannot reach daemon: {exc}", EXIT_MISSING) from None
-    job_id = ack["job_id"]
-    note = ("cached" if ack.get("cached") else
-            "coalesced" if ack.get("coalesced") else ack["status"])
-    print(f"submitted {job_id} ({note}, config_hash {ack['config_hash']})")
-    if not (args.wait or args.stream):
-        return 0
-    try:
-        if args.stream:
-            _print_job_events(client, job_id)
-        job = client.wait(job_id, timeout=args.timeout)
-    except JobFailed as exc:
-        raise CliError(str(exc), EXIT_FAILURE) from None
-    except TimeoutError as exc:
-        raise CliError(str(exc), EXIT_FAILURE) from None
-    except ServeError as exc:
-        raise CliError(exc.message, _serve_error_code(exc)) from None
-    print(f"job {job_id} done in {job['seconds']:.1f}s")
-    sys.stdout.write(client.result(job_id).decode())
-    return 0
-
-
-def cmd_jobs(args) -> int:
-    from repro.serve import ServeError
-
-    client = _serve_client(args)
-    flags = [args.result, args.events, args.cancel]
-    if sum(bool(flag) for flag in flags) > 1:
-        raise CliError(
-            "--result, --events and --cancel are mutually exclusive",
-            EXIT_USAGE,
-        )
-    if any(flags) and args.job_id is None:
-        raise CliError(
-            "--result/--events/--cancel need a job id", EXIT_USAGE
-        )
-    try:
-        if args.job_id is None:
-            rows = client.jobs(
-                client=args.client, status=args.status, limit=args.limit
-            )
-            for row in rows:
-                seconds = f"{row['seconds']:.1f}s" if row["seconds"] else "-"
-                print(f"{row['job_id']:<28} {row['status']:<9} "
-                      f"{row['kind']:<9} {seconds:>8}  {row['client']}")
-            if not rows:
-                print("(no jobs)")
-            return 0
-        if args.result:
-            sys.stdout.write(client.result(args.job_id).decode())
-        elif args.events:
-            _print_job_events(client, args.job_id)
-        elif args.cancel:
-            ack = client.cancel(args.job_id)
-            print(f"cancelled {ack['job_id']}")
-        else:
-            print(json.dumps(client.job(args.job_id), indent=2))
-        return 0
-    except ServeError as exc:
-        raise CliError(exc.message, _serve_error_code(exc)) from None
-    except OSError as exc:
-        raise CliError(f"cannot reach daemon: {exc}", EXIT_MISSING) from None
 
 
 # ----------------------------------------------------------------------

@@ -11,10 +11,10 @@ Two layers:
   runner so the flag surface cannot drift between them again.
 
 Both run in the caller's process; the only process parallelism is a
-campaign's ``--jobs`` and the serve daemon's ``--workers``.  Stored
-configs written while the flow had knobs that never changed a result
-(worker counts, an unused seed) still load: ``from_dict`` drops exactly
-those retired keys.
+campaign's ``--jobs``.  Checkpoints written while the flow had knobs
+that never changed a result (a worker count, an unused seed) still
+resume: :meth:`ReplicationConfig.from_dict` drops exactly those retired
+keys.
 """
 
 from __future__ import annotations
@@ -27,11 +27,6 @@ from repro.core.signatures import DelayScheme, MaxArrivalScheme, scheme_by_name
 #: Keys of checkpoints written while tied-sink embedding had a worker
 #: pool (``jobs``) and the config carried an unused ``seed``.
 _RETIRED_FLOW_KEYS = ("jobs", "seed")
-
-#: Keys of serve job rows written while routing (``route_jobs``) and
-#: tied-sink embedding (``jobs``) had worker pools.
-_RETIRED_RUN_KEYS = ("route_jobs", "jobs")
-
 
 @dataclass
 class ReplicationConfig:
@@ -201,10 +196,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return {spec.name: getattr(self, spec.name) for spec in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        return cls(**{k: v for k, v in data.items() if k not in _RETIRED_RUN_KEYS})
 
     def replication_config(self) -> ReplicationConfig:
         """The :class:`ReplicationConfig` this run's dials map to.

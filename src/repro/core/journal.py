@@ -21,13 +21,8 @@ from __future__ import annotations
 
 import json
 import os
-import time
 
 JOURNAL_VERSION = 1
-
-#: Entry kinds that end a run; :func:`read_journal`'s follow mode (and
-#: the serve daemon's progress stream built on it) stop after one.
-TERMINAL_KINDS = ("result", "crash")
 
 #: Keys every ``iteration`` entry carries (schema-checked in tests).
 ITERATION_KEYS = (
@@ -127,98 +122,13 @@ class FlowJournal:
         self.close()
 
 
-class JournalTail:
-    """Incremental journal reader: complete new entries since last poll.
-
-    Tracks a byte offset into the file and only consumes *complete*
-    lines, so a line the writer is mid-way through (or a torn tail left
-    by a hard kill) is never parsed early — it stays buffered until the
-    trailing newline lands, and is simply never consumed if it never
-    does.  A malformed line that *is* newline-terminated is corruption
-    and raises, matching :func:`read_journal`.  Reading stops for good
-    after a terminal entry (``result``/``crash``).
-    """
-
-    def __init__(self, path) -> None:
-        self.path = path
-        self._offset = 0
-        self._finished = False
-
-    @property
-    def finished(self) -> bool:
-        """True once a ``result``/``crash`` entry has been returned."""
-        return self._finished
-
-    def poll(self) -> list[dict]:
-        """All complete entries appended since the previous call.
-
-        Returns an empty list when the file does not exist yet (the
-        writer may not have opened it), when nothing new is complete, or
-        after the tail has finished.
-        """
-        if self._finished:
-            return []
-        try:
-            with open(self.path) as handle:
-                handle.seek(self._offset)
-                chunk = handle.read()
-        except FileNotFoundError:
-            return []
-        entries: list[dict] = []
-        consumed = 0
-        for line in chunk.splitlines(keepends=True):
-            if not line.endswith("\n"):
-                break  # incomplete (possibly torn) tail: leave buffered
-            consumed += len(line)
-            if not line.strip():
-                continue
-            entry = json.loads(line)
-            entries.append(entry)
-            if entry.get("kind") in TERMINAL_KINDS:
-                self._finished = True
-                break
-        self._offset += consumed
-        return entries
-
-
-def _follow_journal(path, idle_timeout, poll_interval):
-    """Generator behind ``read_journal(..., follow=True)``."""
-    tail = JournalTail(path)
-    deadline = (
-        None if idle_timeout is None else time.monotonic() + idle_timeout
-    )
-    while True:
-        entries = tail.poll()
-        yield from entries
-        if tail.finished:
-            return
-        if entries:
-            if idle_timeout is not None:
-                deadline = time.monotonic() + idle_timeout
-            continue
-        if deadline is not None and time.monotonic() >= deadline:
-            return
-        time.sleep(poll_interval)
-
-
-def read_journal(path, *, follow: bool = False, idle_timeout: float | None = None,
-                 poll_interval: float = 0.05):
+def read_journal(path) -> list[dict]:
     """Parse a journal file into its entries (tolerates a torn tail).
 
     A hard kill can tear the final line mid-write despite the per-line
     flush (the OS may persist a prefix); a torn *last* line is dropped,
     but a malformed line anywhere else raises.
-
-    With ``follow=True`` this returns a *generator* that tails the file
-    live instead: entries are yielded as their lines complete (a file
-    that does not exist yet is waited for), and the stream ends after a
-    ``result``/``crash`` entry or once ``idle_timeout`` seconds pass
-    with no new entry (``None`` = wait forever).  ``poll_interval``
-    is the sleep between file polls.  The torn-tail guarantee carries
-    over: a half-written line is never yielded early.
     """
-    if follow:
-        return _follow_journal(path, idle_timeout, poll_interval)
     entries: list[dict] = []
     with open(path) as handle:
         lines = handle.read().splitlines()

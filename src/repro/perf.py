@@ -71,17 +71,9 @@ class PerfRegistry:
         self._counters[name] += amount
 
     def merge_counts(self, counts: dict[str, int]) -> None:
-        """Fold counts aggregated elsewhere (a worker) into the registry."""
+        """Fold in counts the in-process W_min probe loop tallied itself."""
         for name, amount in counts.items():
             self._counters[name] += amount
-
-    def add_time(self, name: str, seconds: float) -> None:
-        self._timers[name] += seconds
-
-    def merge_times(self, times: dict[str, float]) -> None:
-        """Fold timer totals aggregated elsewhere (a worker) in."""
-        for name, seconds in times.items():
-            self._timers[name] += seconds
 
     def record_max(self, name: str, value: float) -> None:
         """Keep the running maximum of a gauge (e.g. ``peak_rss_mb``).
@@ -93,14 +85,6 @@ class PerfRegistry:
         current = self._maxes.get(name)
         if current is None or value > current:
             self._maxes[name] = value
-
-    def merge_maxes(self, maxes: dict[str, float]) -> None:
-        """Fold max gauges observed elsewhere (a worker) into the registry."""
-        for name, value in maxes.items():
-            self.record_max(name, value)
-
-    def max_value(self, name: str) -> float | None:
-        return self._maxes.get(name)
 
     @contextmanager
     def timer(self, name: str):

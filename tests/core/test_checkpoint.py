@@ -1,6 +1,10 @@
 """Checkpoint serializers: exact round-trips, config hash, atomicity."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +29,8 @@ from repro.core.signatures import LexScheme
 from repro.bench.families import random_family_instance
 from repro.place.initial import random_placement
 from tests.conftest import diamond_netlist, place_in_row
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def family_pair(seed):
@@ -127,12 +133,42 @@ class TestConfigHash:
     def test_run_config_round_trip_and_mapping(self):
         run = RunConfig(circuit="tseng", algorithm="lex-3", effort=0.5,
                         batch_sinks=2, checkpoint_every=4)
-        restored = RunConfig.from_dict(json.loads(json.dumps(run.to_dict())))
+        restored = RunConfig(**json.loads(json.dumps(run.to_dict())))
         assert restored == run
         config = restored.replication_config()
         assert type(config.scheme) is LexScheme
         assert config.max_iterations == 20
         assert config.batch_sinks == 2
+
+    def test_stable_across_hash_seeds(self):
+        """PYTHONHASHSEED randomizes str hashing per process; the hash
+        that checkpoints and result.json store must not depend on it."""
+        algorithms = ("rt", "lex-3", "lex-mc")
+        program = (
+            "from repro.core.checkpoint import config_hash\n"
+            "from repro.core.config import RunConfig\n"
+            f"for algorithm in {algorithms!r}:\n"
+            "    config = RunConfig(algorithm=algorithm, effort=0.5)\n"
+            "    print(config_hash(config.replication_config()))\n"
+        )
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", program],
+                capture_output=True,
+                text=True,
+                check=True,
+                env={**os.environ, "PYTHONPATH": str(SRC),
+                     "PYTHONHASHSEED": hash_seed},
+            ).stdout.split()
+            for hash_seed in ("0", "1", "4242")
+        ]
+        in_process = [
+            config_hash(
+                RunConfig(algorithm=algorithm, effort=0.5).replication_config()
+            )
+            for algorithm in algorithms
+        ]
+        assert outputs == [in_process] * 3
 
 
 class TestFlowStatePayload:

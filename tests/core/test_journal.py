@@ -1,8 +1,6 @@
-"""Flow journal: schema, incremental flush, crash readability, follow."""
+"""Flow journal: schema, incremental flush, crash readability."""
 
 import json
-import os
-import threading
 
 import pytest
 
@@ -11,7 +9,6 @@ from repro.core.flow import ReplicationOptimizer
 from repro.core.journal import (
     ITERATION_KEYS,
     FlowJournal,
-    JournalTail,
     iteration_entries,
     iteration_entry,
     read_journal,
@@ -140,85 +137,3 @@ class TestCrashReadability:
         assert read_journal(path) == [{"kind": "start", "x": 1}]
         journal.close()
 
-
-class TestTail:
-    def test_poll_returns_only_new_entries(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        tail = JournalTail(path)
-        assert tail.poll() == []  # file does not exist yet
-        journal = FlowJournal(path)
-        journal.event("start", x=1)
-        assert [e["kind"] for e in tail.poll()] == ["start"]
-        assert tail.poll() == []
-        journal.event("iteration", iteration=0)
-        journal.event("result", final_delay=1.0)
-        entries = tail.poll()
-        assert [e["kind"] for e in entries] == ["iteration", "result"]
-        assert tail.finished
-        journal.event("iteration", iteration=99)  # after terminal: ignored
-        assert tail.poll() == []
-        journal.close()
-
-    def test_incomplete_tail_is_buffered_not_parsed(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with open(path, "w") as handle:
-            handle.write('{"kind": "start"}\n{"kind": "iter')
-        tail = JournalTail(path)
-        assert [e["kind"] for e in tail.poll()] == ["start"]
-        # Completing the torn line makes it visible on the next poll.
-        with open(path, "a") as handle:
-            handle.write('ation", "iteration": 0}\n')
-        assert [e["iteration"] for e in tail.poll()] == [0]
-
-    def test_complete_malformed_line_raises(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        path.write_text('{"kind": "start"\n')
-        with pytest.raises(json.JSONDecodeError):
-            JournalTail(path).poll()
-
-
-class TestFollow:
-    def test_follow_stops_on_result(self, tmp_path):
-        path, result = run_journaled(tmp_path)
-        entries = list(read_journal(path, follow=True))
-        assert entries == read_journal(path)
-        assert entries[-1]["kind"] == "result"
-
-    def test_follow_stops_on_crash(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with FlowJournal(path) as journal:
-            journal.event("start")
-            journal.event("crash", error="Boom")
-        entries = list(read_journal(path, follow=True))
-        assert [e["kind"] for e in entries] == ["start", "crash"]
-
-    def test_follow_sees_concurrent_writes_live(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        ready = threading.Event()
-
-        def writer():
-            with FlowJournal(path) as journal:
-                journal.event("start")
-                ready.wait(5.0)  # first entry observed before the rest
-                for i in range(3):
-                    journal.event("iteration", iteration=i)
-                journal.event("result", final_delay=0.0)
-
-        thread = threading.Thread(target=writer)
-        thread.start()
-        entries = []
-        for entry in read_journal(path, follow=True, idle_timeout=5.0,
-                                  poll_interval=0.01):
-            entries.append(entry)
-            ready.set()
-        thread.join()
-        kinds = [e["kind"] for e in entries]
-        assert kinds == ["start"] + ["iteration"] * 3 + ["result"]
-
-    def test_follow_idle_timeout_ends_stream(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with FlowJournal(path) as journal:
-            journal.event("start")  # no terminal entry ever arrives
-            entries = list(read_journal(path, follow=True, idle_timeout=0.1,
-                                        poll_interval=0.01))
-        assert [e["kind"] for e in entries] == ["start"]

@@ -1,5 +1,6 @@
 """CLI subcommands: run/route/resume/trace-view/bench."""
 
+import importlib.util
 import json
 import re
 
@@ -9,6 +10,7 @@ from repro.bench.runner import main as runner_main
 from repro.cli import (
     EXIT_MISSING,
     EXIT_USAGE,
+    build_parser,
     main as cli_main,
 )
 
@@ -87,6 +89,17 @@ class TestTraceView:
         assert code == EXIT_MISSING
         assert "trace-view" in capsys.readouterr().err
 
+    def test_non_object_trace_is_a_usage_error(self, capsys, tmp_path):
+        """A bare event array (Chrome's "JSON Array" format) is not the
+        object form ``--trace`` writes: one line naming the file."""
+        trace_file = tmp_path / "t.json"
+        trace_file.write_text("[]")
+        code = cli_main(["trace-view", str(trace_file)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(trace_file) in err
+
 
 class TestErrorHandling:
     """User errors exit with distinct codes and one stderr line each."""
@@ -105,28 +118,6 @@ class TestErrorHandling:
         assert err.count("\n") == 1
         assert "bogus" in err
 
-    def test_submit_without_daemon_exits_3(self, capsys, tmp_path):
-        code = cli_main(["submit", "--dir", str(tmp_path),
-                         "--kind", "place", "--circuit", "tseng"])
-        assert code == EXIT_MISSING
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "serve.json" in err
-
-    def test_jobs_flag_combos_rejected(self, capsys, tmp_path):
-        import json as _json
-
-        (tmp_path / "serve.json").write_text(_json.dumps(
-            {"host": "127.0.0.1", "port": 1}
-        ))
-        code = cli_main(["jobs", "--dir", str(tmp_path),
-                         "--result", "--cancel", "x"])
-        assert code == EXIT_USAGE
-        assert "mutually exclusive" in capsys.readouterr().err
-        code = cli_main(["jobs", "--dir", str(tmp_path), "--result"])
-        assert code == EXIT_USAGE
-        assert "job id" in capsys.readouterr().err
-
 
 class TestBenchForwarding:
     def test_bench_forwards_to_runner(self, capsys):
@@ -143,6 +134,60 @@ class TestUsage:
             cli_main(RUN_FLAGS)
         assert exc.value.code == EXIT_USAGE
         assert "usage:" in capsys.readouterr().err
+
+    def test_subcommands_are_the_batch_surface(self):
+        usage = build_parser().format_usage()
+        assert "{run,route,bench,resume,trace-view,campaign,netlist}" in usage
+
+    @pytest.mark.parametrize("command", ["serve", "submit", "jobs"])
+    def test_service_commands_are_gone(self, command, capsys):
+        """No service subcommand, and no package module by its name."""
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "x"])
+        assert exc.value.code == EXIT_USAGE
+        assert "invalid choice" in capsys.readouterr().err
+        assert importlib.util.find_spec(f"repro.{command}") is None
+
+
+class TestOutOfRangeNumbers:
+    """Out-of-range numbers exit 2 with a usage line before any file is
+    created (they used to end in a traceback, or a failed campaign)."""
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "main, argv",
+        [
+            (cli_main, ["run", "--circuit", "tseng", "--run-dir", "{tmp}/run"]),
+            (cli_main, ["route", "--circuit", "tseng"]),
+            (cli_main, ["netlist", "build", "{tmp}/nl.sqlite",
+                        "--circuit", "tseng"]),
+            (cli_main, ["campaign", "run", "{tmp}/camp",
+                        "--circuits", "tseng", "--algorithms", "rt"]),
+            (runner_main, ["table1", "--circuits", "tseng",
+                           "--run-dir", "{tmp}/bench"]),
+        ],
+        ids=["run", "route", "netlist-build", "campaign-run", "bench-runner"],
+    )
+    def test_scale_must_be_positive(self, main, argv, value, capsys,
+                                    tmp_path):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--scale", value])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--scale" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_checkpoint_interval_must_be_non_negative(self, capsys,
+                                                      tmp_path):
+        run_dir = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", *RUN_FLAGS, "--run-dir", str(run_dir),
+                      "--checkpoint-every", "-1"])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--checkpoint-every" in err
+        assert not run_dir.exists()
 
 
 class TestRoutingFlags:

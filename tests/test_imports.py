@@ -29,13 +29,13 @@ def loaded_in_fresh_interpreter(imports: str, modules: list[str]) -> list[str]:
 def test_package_imports_without_numpy():
     """Importing every entry point never loads numpy."""
     assert loaded_in_fresh_interpreter(
-        "repro, repro.cli, repro.campaign, repro.serve", ["numpy"]
+        "repro, repro.cli, repro.campaign", ["numpy"]
     ) == []
 
 
 def test_flow_and_cli_load_no_process_pools():
     """The flow and the CLI run in the caller's process; only campaign
-    and serve workers (loaded on use) need multiprocessing."""
+    workers (loaded on use) need multiprocessing."""
     assert loaded_in_fresh_interpreter(
         "repro, repro.cli", ["multiprocessing", "concurrent.futures"]
     ) == []
