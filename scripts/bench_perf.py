@@ -1,11 +1,11 @@
 #!/usr/bin/env python
 """Perf-trajectory harness: micro-benchmark the flow's hot paths.
 
-Runs the embedder / STA / legalizer / flow micro-benchmarks (the same
-workloads as ``benchmarks/bench_components.py``) and writes
-``BENCH_perf.json`` with per-phase wall times plus the perf-counter
-registry, so successive PRs have a committed perf trajectory to compare
-against.
+Runs the placer / embedder / STA / legalizer / flow / routing
+micro-benchmarks (beside the placer, the workloads of
+``benchmarks/bench_components.py``) and writes ``BENCH_perf.json`` with
+per-phase wall times plus the perf-counter registry, so successive PRs
+have a committed perf trajectory to compare against.
 
 Usage::
 
@@ -76,6 +76,19 @@ def phase_sta_full(repeats: int, quick: bool) -> float:
 
     netlist, placement = _placed_circuit(luts=120 if quick else 400)
     return _best_of(lambda: analyze(netlist, placement), repeats)
+
+
+def phase_place(repeats: int, quick: bool) -> float:
+    """Timing-driven placement at the Table I/II runner's effort (0.25)."""
+    from repro.place.timing_driven import place_timing_driven
+
+    netlist, placement = _placed_circuit(luts=120 if quick else 400)
+    return _best_of(
+        lambda: place_timing_driven(
+            netlist, placement.arch, seed=1, inner_scale=0.25
+        ),
+        repeats,
+    )
 
 
 def phase_sta_after_move(repeats: int, quick: bool) -> float:
@@ -294,6 +307,7 @@ def phase_legalizer(repeats: int, quick: bool) -> float:
 # ----------------------------------------------------------------------
 
 PHASES = (
+    "place",
     "sta_full",
     "sta_after_move",
     "embedder_tree6",
@@ -323,6 +337,7 @@ def run_phases(
     # scheduler hiccup dominates best-of-3, which is what made earlier
     # committed numbers drift run to run.
     micro = max(repeats, 9)
+    record("place", phase_place(repeats, quick))
     record("sta_full", phase_sta_full(repeats, quick))
     record("sta_after_move", phase_sta_after_move(repeats, quick))
     record("embedder_tree6", phase_embedder(6, micro))

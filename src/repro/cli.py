@@ -35,6 +35,7 @@ from repro import api
 from repro.bench.suite import SPEC_BY_NAME, positive_scale
 from repro.core.checkpoint import CheckpointError
 from repro.core.config import RunConfig
+from repro.netlist.netlist import NetlistError
 from repro.perf import PERF
 from repro.trace import summarize_trace
 from repro.viz import render_history, render_placement
@@ -460,15 +461,16 @@ def cmd_netlist_build(args) -> int:
 
     if args.blif is not None and not args.blif.exists():
         raise CliError(f"no BLIF file at {args.blif}", EXIT_MISSING)
+    if args.blif is not None:
+        from repro.netlist.blif import read_blif
+
+        # Parse before the store exists, so a bad BLIF leaves no file.
+        netlist = read_blif(args.blif.read_text())
     store = NetlistStore(args.store)
     try:
         if args.blif is not None:
-            from repro.netlist.blif import read_blif
-
             key = f"blif:{args.blif.stem}"
-            store.save_design(
-                key, read_blif(args.blif.read_text()), lut_size=args.lut_size
-            )
+            store.save_design(key, netlist, lut_size=args.lut_size)
         else:
             from repro.bench.suite import stream_suite_circuit
             from repro.netlist.store import design_key
@@ -624,6 +626,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"{label}: {exc}", file=sys.stderr)
         return exc.code
+    except NetlistError as exc:
+        print(f"{label}: invalid netlist: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except FileNotFoundError as exc:
         print(f"{label}: no such file: {exc.filename or exc}", file=sys.stderr)
         return EXIT_MISSING

@@ -97,6 +97,11 @@ def read_blif(text: str) -> Netlist:
         elif keyword == ".end":
             break
         index += 1
+    if not (pi_names or po_names or latches or luts):
+        raise NetlistError(
+            f"BLIF model {model!r} has no cells (no .inputs, .outputs, "
+            ".latch or .names)"
+        )
 
     netlist = Netlist(model)
     signal_driver: dict[str, int] = {}  # signal name -> net id

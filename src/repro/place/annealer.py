@@ -22,7 +22,12 @@ from typing import Protocol
 
 
 class MoveEvaluator(Protocol):
-    """Objective-specific move logic plugged into :func:`anneal`."""
+    """Objective-specific move logic plugged into :func:`anneal`.
+
+    The engine commits a move, if at all, before it proposes the next
+    one or calls :meth:`on_temperature`, so an evaluator may cost a move
+    once in :meth:`propose` and apply the stored costs in :meth:`commit`.
+    """
 
     def propose(self, rng: random.Random, range_limit: int) -> object | None:
         """Propose a move; ``None`` if no move is possible."""

@@ -28,20 +28,40 @@ from repro.place.placement import Placement
 from repro.timing.sta import analyze
 
 
-@dataclass
+@dataclass(slots=True)
 class _Move:
-    """A proposed displace (``cell_b is None``) or swap."""
+    """A proposed displace (``cell_b is None``) or swap, costed once.
+
+    Besides the deltas, :meth:`PlacementEvaluator._score` keeps the
+    affected nets and connections and their new costs, in the order
+    :meth:`PlacementEvaluator.commit` applies them.
+    """
 
     cell_a: int
     slot_a: Slot
     cell_b: int | None
     slot_b: Slot
-    delta_bb: float = 0.0
-    delta_timing: float = 0.0
+    delta_bb: float
+    delta_timing: float
+    nets: set[int]
+    net_costs: list[float]
+    conns: set[int]
+    conn_costs: list[float]
 
 
 class PlacementEvaluator:
-    """Incremental cost model plugged into :func:`repro.place.annealer.anneal`."""
+    """Incremental cost model plugged into :func:`repro.place.annealer.anneal`.
+
+    Each proposal is costed once: :meth:`_score` computes the new
+    bounding-box cost of every net and the new cost of every connection
+    the move touches, and :meth:`commit` applies those stored values, so
+    a move must be committed (or dropped) before the next is proposed.
+    The results are bit-identical to costing through a moved-cell
+    overlay and recomputing on commit: the same RNG calls, the same
+    set-iteration order, and ``sum()`` wherever a total is summed (from
+    Python 3.12 ``sum()`` of floats is compensated, so a ``+=`` loop
+    would round differently).
+    """
 
     def __init__(
         self,
@@ -56,8 +76,19 @@ class PlacementEvaluator:
         self.timing_tradeoff = timing_tradeoff
         self.criticality_exponent = criticality_exponent
 
-        self._pad_slots = self.arch.pad_slots()
+        arch = self.arch
+        model = arch.delay_model
+        self._pad_slots = arch.pad_slots()
+        #: Pad-move targets per (pad slot, range limit).
+        self._pad_targets: dict[tuple[Slot, int], list[Slot]] = {}
         self._movable = sorted(netlist.cells)
+        self._cells = dict(netlist.cells.items())
+        self._pads = {cid for cid, cell in self._cells.items() if cell.ctype.is_pad}
+        #: Wire delay by Manhattan distance; the pad ring makes the
+        #: longest connection ``width + height + 2``.
+        self._wire_delay = [
+            model.wire_delay(d) for d in range(arch.width + arch.height + 3)
+        ]
         # Per-net static data.
         self._net_terminals: dict[int, list[int]] = {}
         self._net_q: dict[int, float] = {}
@@ -67,22 +98,35 @@ class PlacementEvaluator:
             ]
             self._net_terminals[net_id] = terminals
             self._net_q[net_id] = crossing_factor(len(terminals))
-        # Connections for the timing cost.
-        self._conns: list[tuple[int, int, int]] = []
+        # Connections (driver, sink) for the timing cost, and for the
+        # criticality refresh each sink's capture delay (``None`` unless
+        # the path ends there) and intrinsic delay.
+        self._conns: list[tuple[int, int]] = []
+        self._conn_sink: list[tuple[float | None, float]] = []
         for net in netlist.nets.values():
             if net.driver is None:
                 continue
-            for sink, pin in net.sinks:
-                self._conns.append((net.driver, sink, pin))
+            for sink, _pin in net.sinks:
+                cell = self._cells[sink]
+                capture = None
+                if cell.is_timing_end and not cell.is_lut:
+                    capture = model.capture_delay(cell.is_ff)
+                self._conns.append((net.driver, sink))
+                self._conn_sink.append((capture, model.cell_delay(cell.is_lut)))
         self._cell_nets: dict[int, list[int]] = {cid: [] for cid in netlist.cells}
         for net_id, terminals in self._net_terminals.items():
             for cid in set(terminals):
                 self._cell_nets[cid].append(net_id)
         self._cell_conns: dict[int, list[int]] = {cid: [] for cid in netlist.cells}
-        for index, (u, v, _pin) in enumerate(self._conns):
+        for index, (u, v) in enumerate(self._conns):
             self._cell_conns[u].append(index)
             if v != u:
                 self._cell_conns[v].append(index)
+        # A set's iteration order depends on how it was built, and the
+        # cost sums follow it: a displace iterates these ``set(list)``s,
+        # a swap merges the second cell's into a fresh ``set(list)``.
+        self._cell_net_set = {cid: set(n) for cid, n in self._cell_nets.items()}
+        self._cell_conn_set = {cid: set(c) for cid, c in self._cell_conns.items()}
 
         self._weights = [1.0] * len(self._conns)
         self._net_cost: dict[int, float] = {}
@@ -96,61 +140,96 @@ class PlacementEvaluator:
         self._recompute_costs()
 
     # ------------------------------------------------------------------
-    # Cost primitives
+    # Full (per-temperature) cost passes
     # ------------------------------------------------------------------
 
-    def _net_bb_cost(self, net_id: int, moved: dict[int, Slot]) -> float:
-        xmin = ymin = 1 << 30
-        xmax = ymax = -(1 << 30)
-        for cid in self._net_terminals[net_id]:
-            x, y = moved.get(cid) or self.placement.slot_of(cid)
-            xmin = min(xmin, x)
-            xmax = max(xmax, x)
-            ymin = min(ymin, y)
-            ymax = max(ymax, y)
-        if xmax < xmin:
-            return 0.0
-        return self._net_q[net_id] * ((xmax - xmin) + (ymax - ymin))
-
-    def _connection_cost(self, index: int, moved: dict[int, Slot]) -> float:
-        u, v, _pin = self._conns[index]
-        slot_u = moved.get(u) or self.placement.slot_of(u)
-        slot_v = moved.get(v) or self.placement.slot_of(v)
-        delay = self.arch.delay_model.wire_delay(self.arch.distance(slot_u, slot_v))
-        return self._weights[index] * delay
-
     def _recompute_costs(self) -> None:
-        self._net_cost = {nid: self._net_bb_cost(nid, {}) for nid in self._net_terminals}
-        self.bb_cost = sum(self._net_cost.values())
-        for index in range(len(self._conns)):
-            self._conn_cost[index] = self._connection_cost(index, {})
-        self.timing_cost = sum(self._conn_cost)
+        slots = self.placement.slot_map()
+        net_q = self._net_q
+        net_cost: dict[int, float] = {}
+        for nid, terminals in self._net_terminals.items():
+            xmin = ymin = 1 << 30
+            xmax = ymax = -(1 << 30)
+            for cid in terminals:
+                x, y = slots[cid]
+                if x < xmin:
+                    xmin = x
+                if x > xmax:
+                    xmax = x
+                if y < ymin:
+                    ymin = y
+                if y > ymax:
+                    ymax = y
+            if xmax < xmin:
+                net_cost[nid] = 0.0
+            else:
+                net_cost[nid] = net_q[nid] * ((xmax - xmin) + (ymax - ymin))
+        self._net_cost = net_cost
+        self.bb_cost = sum(net_cost.values())
+        weights = self._weights
+        wire_delay = self._wire_delay
+        conn_cost = self._conn_cost
+        for index, (u, v) in enumerate(self._conns):
+            xu, yu = slots[u]
+            xv, yv = slots[v]
+            conn_cost[index] = weights[index] * wire_delay[abs(xu - xv) + abs(yu - yv)]
+        self.timing_cost = sum(conn_cost)
         self._bb_norm = max(self.bb_cost, 1e-9)
         self._timing_norm = max(self.timing_cost, 1e-9)
 
     def _refresh_weights(self) -> None:
+        """Weight each connection by ``criticality ** exponent``.
+
+        The criticality is :meth:`TimingAnalysis.criticality`'s
+        expression, evaluated in one loop over the connections.
+        """
         if self.timing_tradeoff <= 0.0 or not self._conns:
             return
         analysis = analyze(self.netlist, self.placement)
         self.last_analysis = analysis
-        for index, (u, v, pin) in enumerate(self._conns):
-            crit = analysis.criticality(u, v, pin)
-            self._weights[index] = crit**self.criticality_exponent
+        critical = analysis.critical_delay
+        arrival = analysis.arrival
+        required = analysis.required
+        exponent = self.criticality_exponent
+        slots = self.placement.slot_map()
+        wire_delay = self._wire_delay
+        weights = self._weights
+        if critical <= 0:
+            weights[:] = [0.0**exponent] * len(weights)
+            return
+        for index, (u, v) in enumerate(self._conns):
+            xu, yu = slots[u]
+            xv, yv = slots[v]
+            at_input = arrival[u] + wire_delay[abs(xu - xv) + abs(yu - yv)]
+            capture, cell_delay = self._conn_sink[index]
+            if capture is None:
+                required_in = required[v] - cell_delay
+            else:
+                required_in = critical - capture
+            crit = 1.0 - (required_in - at_input) / critical
+            # max(0.0, min(1.0, crit)), comparison for comparison.
+            crit = crit if crit < 1.0 else 1.0
+            crit = crit if crit > 0.0 else 0.0
+            weights[index] = crit**exponent
 
     # ------------------------------------------------------------------
     # MoveEvaluator protocol
     # ------------------------------------------------------------------
 
     def propose(self, rng: random.Random, range_limit: int) -> _Move | None:
-        cell_id = self._movable[rng.randrange(len(self._movable))]
-        cell = self.netlist.cells[cell_id]
-        slot_a = self.placement.slot_of(cell_id)
-        if cell.ctype.is_pad:
-            nearby = [
-                s
-                for s in self._pad_slots
-                if s != slot_a and self.arch.distance(s, slot_a) <= 2 * range_limit
-            ]
+        cell_a = self._movable[rng.randrange(len(self._movable))]
+        slot_a = self.placement.slot_of(cell_a)
+        if cell_a in self._pads:
+            key = (slot_a, range_limit)
+            nearby = self._pad_targets.get(key)
+            if nearby is None:
+                reach = 2 * range_limit
+                nearby = [
+                    s
+                    for s in self._pad_slots
+                    if s != slot_a and self.arch.distance(s, slot_a) <= reach
+                ]
+                self._pad_targets[key] = nearby
             if not nearby:
                 return None
             slot_b = nearby[rng.randrange(len(nearby))]
@@ -168,24 +247,83 @@ class PlacementEvaluator:
         cell_b: int | None = None
         if len(occupants) >= capacity:
             cell_b = occupants[rng.randrange(len(occupants))]
-        move = _Move(cell_id, slot_a, cell_b, slot_b)
-        self._score(move)
-        return move
+        return self._score(cell_a, slot_a, cell_b, slot_b)
 
-    def _score(self, move: _Move) -> None:
-        moved: dict[int, Slot] = {move.cell_a: move.slot_b}
-        if move.cell_b is not None:
-            moved[move.cell_b] = move.slot_a
-        nets = set(self._cell_nets[move.cell_a])
-        conns = set(self._cell_conns[move.cell_a])
-        if move.cell_b is not None:
-            nets |= set(self._cell_nets[move.cell_b])
-            conns |= set(self._cell_conns[move.cell_b])
-        move.delta_bb = sum(
-            self._net_bb_cost(nid, moved) - self._net_cost[nid] for nid in nets
-        )
-        move.delta_timing = sum(
-            self._connection_cost(i, moved) - self._conn_cost[i] for i in conns
+    def _score(
+        self, cell_a: int, slot_a: Slot, cell_b: int | None, slot_b: Slot
+    ) -> _Move:
+        """Cost moving ``cell_a`` to ``slot_b`` (and ``cell_b`` to ``slot_a``).
+
+        The two moved cells are taken from the arguments; every other
+        terminal is read from the live placement.
+        """
+        if cell_b is None:
+            other = -1  # never a cell id
+            nets = self._cell_net_set[cell_a]
+            conns = self._cell_conn_set[cell_a]
+        else:
+            other = cell_b
+            nets = set(self._cell_nets[cell_a])
+            nets |= self._cell_net_set[cell_b]
+            conns = set(self._cell_conns[cell_a])
+            conns |= self._cell_conn_set[cell_b]
+        slots = self.placement.slot_map()
+
+        net_terminals = self._net_terminals
+        net_q = self._net_q
+        net_cost = self._net_cost
+        net_costs: list[float] = []
+        bb_deltas: list[float] = []
+        for nid in nets:
+            xmin = ymin = 1 << 30
+            xmax = ymax = -(1 << 30)
+            for cid in net_terminals[nid]:
+                if cid == cell_a:
+                    x, y = slot_b
+                elif cid == other:
+                    x, y = slot_a
+                else:
+                    x, y = slots[cid]
+                if x < xmin:
+                    xmin = x
+                if x > xmax:
+                    xmax = x
+                if y < ymin:
+                    ymin = y
+                if y > ymax:
+                    ymax = y
+            # ``nid`` has the moved cell as a terminal, so it is nonempty.
+            new = net_q[nid] * ((xmax - xmin) + (ymax - ymin))
+            net_costs.append(new)
+            bb_deltas.append(new - net_cost[nid])
+
+        all_conns = self._conns
+        weights = self._weights
+        wire_delay = self._wire_delay
+        conn_cost = self._conn_cost
+        conn_costs: list[float] = []
+        timing_deltas: list[float] = []
+        for index in conns:
+            u, v = all_conns[index]
+            if u == cell_a:
+                xu, yu = slot_b
+            elif u == other:
+                xu, yu = slot_a
+            else:
+                xu, yu = slots[u]
+            if v == cell_a:
+                xv, yv = slot_b
+            elif v == other:
+                xv, yv = slot_a
+            else:
+                xv, yv = slots[v]
+            new = weights[index] * wire_delay[abs(xu - xv) + abs(yu - yv)]
+            conn_costs.append(new)
+            timing_deltas.append(new - conn_cost[index])
+
+        return _Move(
+            cell_a, slot_a, cell_b, slot_b, sum(bb_deltas), sum(timing_deltas),
+            nets, net_costs, conns, conn_costs,
         )
 
     def delta_cost(self, move: _Move) -> float:
@@ -195,22 +333,26 @@ class PlacementEvaluator:
         )
 
     def commit(self, move: _Move) -> None:
-        self.placement.place(self.netlist.cells[move.cell_a], move.slot_b)
+        """Apply ``move`` and the costs :meth:`_score` stored on it.
+
+        Valid only for the last move proposed: any other commit or a
+        temperature refresh in between would leave those costs stale.
+        """
+        self.placement.place(self._cells[move.cell_a], move.slot_b)
         if move.cell_b is not None:
-            self.placement.place(self.netlist.cells[move.cell_b], move.slot_a)
-        nets = set(self._cell_nets[move.cell_a])
-        conns = set(self._cell_conns[move.cell_a])
-        if move.cell_b is not None:
-            nets |= set(self._cell_nets[move.cell_b])
-            conns |= set(self._cell_conns[move.cell_b])
-        for nid in nets:
-            new = self._net_bb_cost(nid, {})
-            self.bb_cost += new - self._net_cost[nid]
-            self._net_cost[nid] = new
-        for index in conns:
-            new = self._connection_cost(index, {})
-            self.timing_cost += new - self._conn_cost[index]
-            self._conn_cost[index] = new
+            self.placement.place(self._cells[move.cell_b], move.slot_a)
+        net_cost = self._net_cost
+        bb_cost = self.bb_cost
+        for nid, new in zip(move.nets, move.net_costs):
+            bb_cost += new - net_cost[nid]
+            net_cost[nid] = new
+        self.bb_cost = bb_cost
+        conn_cost = self._conn_cost
+        timing_cost = self.timing_cost
+        for index, new in zip(move.conns, move.conn_costs):
+            timing_cost += new - conn_cost[index]
+            conn_cost[index] = new
+        self.timing_cost = timing_cost
 
     def on_temperature(self) -> None:
         self._refresh_weights()

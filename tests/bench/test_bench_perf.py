@@ -29,6 +29,10 @@ class TestHarness:
     def test_netlist_load_in_phase_registry(self, harness):
         assert "netlist_load" in harness.PHASES
 
+    def test_place_in_phase_registry(self, harness):
+        assert "place" in harness.PHASES
+        assert callable(harness.phase_place)
+
     def test_help_lists_no_router_variant_flags(self, harness, capsys):
         with pytest.raises(SystemExit) as exc:
             harness.main(["--help"])

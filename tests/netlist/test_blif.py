@@ -5,6 +5,7 @@ import pytest
 from repro.bench.generator import CircuitSpec, generate_circuit
 from repro.netlist import check_equivalence, validate_netlist
 from repro.netlist.blif import read_blif, write_blif
+from repro.netlist.netlist import NetlistError
 from tests.conftest import chain_netlist, diamond_netlist, sequential_netlist
 
 
@@ -67,4 +68,9 @@ class TestFormat:
         lut = netlist.luts()[0]
         # OR function: 0b1110 over minterms (a=bit0, b=bit1).
         assert lut.truth_table == 0b1110
+
+    @pytest.mark.parametrize("text", ["", "garbage\n", ".model x\n.end\n"])
+    def test_no_cells_is_an_error(self, text):
+        with pytest.raises(NetlistError, match="has no cells"):
+            read_blif(text)
 """Parsing notes: cover rows use '-' as don't-care, one output column."""

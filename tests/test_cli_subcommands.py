@@ -111,6 +111,30 @@ class TestErrorHandling:
         assert err.count("\n") == 1
         assert "nope.blif" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("garbage\n", "has no cells"),
+            (".model x\n.inputs a\n.outputs b\n.end\n", "undriven signal 'b'"),
+        ],
+        ids=["empty", "undriven-output"],
+    )
+    @pytest.mark.parametrize("command", ["run", "route", "netlist build"])
+    def test_invalid_blif_exits_2(self, capsys, tmp_path, command, text, message):
+        blif = tmp_path / "bad.blif"
+        blif.write_text(text)
+        store = tmp_path / "store.sqlite"
+        argv = command.split() + ["--blif", str(blif)]
+        if command == "netlist build":
+            argv.append(str(store))
+        code = cli_main(argv)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"repro {command}: ")
+        assert message in err
+        assert not store.exists()
+
     def test_unknown_algorithm_exits_2(self, capsys):
         code = cli_main(["run", *RUN_FLAGS, "--algorithm", "bogus"])
         assert code == EXIT_USAGE
