@@ -25,6 +25,7 @@ from repro.arch.fpga import FpgaArch
 from repro.baselines.local_replication import best_of_runs
 from repro.bench.suite import (
     LARGE_CIRCUITS,
+    non_negative_effort,
     positive_scale,
     resolve_names,
     suite_circuit,
@@ -255,20 +256,14 @@ def run_vpr_baseline(
     )
 
 
-def replication_config(
-    algorithm: str,
-    effort: float = 1.0,
-    batch_sinks: int = 1,
-) -> ReplicationConfig:
+def replication_config(algorithm: str, effort: float = 1.0) -> ReplicationConfig:
     """Config for one algorithm key at a relative effort level.
 
     Thin wrapper over :meth:`repro.core.config.RunConfig.replication_config`
     so the benchmark runner and the CLI resolve effort/algorithm through
     the same mapping (they used to drift).
     """
-    return RunConfig(
-        algorithm=algorithm, effort=effort, batch_sinks=batch_sinks
-    ).replication_config()
+    return RunConfig(algorithm=algorithm, effort=effort).replication_config()
 
 
 def run_variant(
@@ -276,7 +271,6 @@ def run_variant(
     algorithm: str,
     effort: float = 1.0,
     seed: int = 0,
-    batch_sinks: int = 1,
 ) -> VariantRun:
     """Run one optimization algorithm against a baseline and re-route."""
     netlist = baseline.netlist.clone()
@@ -290,7 +284,7 @@ def run_variant(
         opt: OptimizationResult = optimize_replication(
             netlist,
             placement,
-            replication_config(algorithm, effort, batch_sinks=batch_sinks),
+            replication_config(algorithm, effort),
         )
         replicated, unified = opt.total_replicated, opt.total_unified
         history = opt.history
@@ -399,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
         choices=["table1", "table2", "table3", "fig14", "overhead"],
     )
     parser.add_argument("--scale", type=positive_scale, default=0.08)
-    parser.add_argument("--effort", type=float, default=1.0)
+    parser.add_argument("--effort", type=non_negative_effort, default=1.0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--circuits", default="all", help="'all', 'small', 'large' or CSV names"
@@ -408,13 +402,6 @@ def main(argv: list[str] | None = None) -> int:
         "--algorithms",
         default="local,rt,lex-3",
         help=f"CSV of {ALGORITHMS} (table2/table3)",
-    )
-    parser.add_argument(
-        "--batch-sinks",
-        type=int,
-        default=None,
-        help="overhead only: tied critical endpoints embedded per iteration "
-        "(default 1 = paper loop)",
     )
     parser.add_argument(
         "--run-dir",
@@ -439,11 +426,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.experiment != "overhead":
-        for flag, value in (("--batch-sinks", args.batch_sinks),
-                            ("--perf-json", args.perf_json)):
-            if value is not None:
-                parser.error(f"{flag} applies to overhead only")
+    if args.experiment != "overhead" and args.perf_json is not None:
+        parser.error("--perf-json applies to overhead only")
     if args.perf_json is not None:
         # Fail before the (long) experiment, not after it.
         try:
@@ -499,13 +483,7 @@ def main(argv: list[str] | None = None) -> int:
         total_opt = 0.0
         for name in names:
             baseline = make_baseline(name)
-            run = run_variant(
-                baseline,
-                "rt",
-                effort=args.effort,
-                seed=args.seed,
-                batch_sinks=args.batch_sinks or 1,
-            )
+            run = run_variant(baseline, "rt", effort=args.effort, seed=args.seed)
             total_pr += baseline.place_route_seconds
             total_opt += run.seconds
         from repro.perf import sample_peak_rss

@@ -49,19 +49,34 @@ SPEC_BY_NAME = {spec.name: spec for spec in SUITE_SPECS}
 LARGE_CIRCUITS = {"frisc", "spla", "elliptic", "ex1010", "pdc", "s38417", "s38584.1", "clma"}
 
 
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
 def positive_scale(text: str) -> float:
     """``argparse`` type of every ``--scale`` flag: a finite number > 0.
 
     The ``repro`` CLI and the benchmark runner share it, so a bad scale
     exits 2 with a usage line before any store or directory is created.
     """
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
+    value = _float_or_nan(text)
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(
             f"must be a positive number, got {text!r}"
+        )
+    return value
+
+
+def non_negative_effort(text: str) -> float:
+    """``argparse`` type of every ``--effort``/``--place-effort`` flag:
+    a finite number >= 0, checked before any file is written."""
+    value = _float_or_nan(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text!r}"
         )
     return value
 

@@ -32,7 +32,7 @@ import sys
 from pathlib import Path
 
 from repro import api
-from repro.bench.suite import SPEC_BY_NAME, positive_scale
+from repro.bench.suite import SPEC_BY_NAME, non_negative_effort, positive_scale
 from repro.core.checkpoint import CheckpointError
 from repro.core.config import RunConfig
 from repro.netlist.netlist import NetlistError
@@ -61,7 +61,7 @@ class CliError(Exception):
 
 
 def _non_negative_int(text: str) -> int:
-    """``argparse`` type of ``--checkpoint-every`` (0 = no checkpoints)."""
+    """``argparse`` type of ``--checkpoint-every`` and ``--limit``."""
     try:
         value = int(text)
     except ValueError:
@@ -84,7 +84,7 @@ def _add_input_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", type=positive_scale, default=0.08,
                         help="suite-circuit scale (with --circuit)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--place-effort", type=float, default=0.3,
+    parser.add_argument("--place-effort", type=non_negative_effort, default=0.3,
                         dest="place_effort", help="annealer inner_num scale")
     parser.add_argument("--in-placement", type=Path,
                         help="start from a saved placement instead of SA")
@@ -110,11 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="rt",
         help="replication variant: rt, lex-2..lex-5, lex-mc, or 'none'",
     )
-    run.add_argument("--effort", type=float, default=1.0,
+    run.add_argument("--effort", type=non_negative_effort, default=1.0,
                      help="replication-flow effort dial")
-    run.add_argument("--batch-sinks", type=int, default=1, dest="batch_sinks",
-                     help="tied critical endpoints embedded per iteration "
-                     "(1 = paper's one-sink loop)")
     run.add_argument("--perf", action="store_true",
                      help="print perf counters/timers after the flow")
     run.add_argument("--route", action="store_true",
@@ -161,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     view = sub.add_parser("trace-view", help="summarize a Chrome trace")
     view.add_argument("trace_file", type=Path)
-    view.add_argument("--limit", type=int, default=20,
+    view.add_argument("--limit", type=_non_negative_int, default=20,
                       help="show the top N spans by total time")
     view.set_defaults(func=cmd_trace_view)
 
@@ -183,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     crun.add_argument("--seeds", default="0",
                       help="CSV of placement seeds (default: 0)")
     crun.add_argument("--scale", type=positive_scale, default=0.08)
-    crun.add_argument("--effort", type=float, default=1.0)
+    crun.add_argument("--effort", type=non_negative_effort, default=1.0)
     crun.add_argument("--jobs", type=int, default=1,
                       help="worker processes (one task per process)")
     crun.add_argument("--timeout", type=float, default=None, metavar="S",

@@ -220,8 +220,10 @@ def config_hash(config) -> str:
 class FlowState:
     """Everything :meth:`ReplicationOptimizer.run` needs to continue.
 
-    ``iteration`` is the index of the *last completed* iteration; resume
-    re-enters the loop at ``iteration + 1``.
+    The optimizer's loop carries this object itself and hands it to
+    :meth:`Checkpointer.save` as it is.  ``iteration`` is the index of
+    the *last completed* iteration (-1 before the first); the loop
+    re-enters at ``iteration + 1``.
     """
 
     iteration: int

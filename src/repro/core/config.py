@@ -3,7 +3,7 @@
 Two layers:
 
 * :class:`ReplicationConfig` — the *algorithm* knobs of the optimizer
-  loop (ε growth, tree caps, cost model, batching).  Serializable via
+  loop (ε growth, tree caps, cost model).  Serializable via
   :meth:`to_dict`/:meth:`from_dict`; the dict's hash keys checkpoints.
 * :class:`RunConfig` — the *execution* knobs of one end-to-end run
   (which circuit, placement seed and effort, routing, checkpointing),
@@ -14,7 +14,8 @@ Both run in the caller's process; the only process parallelism is a
 campaign's ``--jobs``.  Checkpoints written while the flow had knobs
 that never changed a result (a worker count, an unused seed) still
 resume: :meth:`ReplicationConfig.from_dict` drops exactly those retired
-keys.
+keys, and ``batch_sinks`` when it names the one-sink loop this version
+runs.
 """
 
 from __future__ import annotations
@@ -77,11 +78,6 @@ class ReplicationConfig:
             critical FF sink stops improving.
         ff_relocation_slack: Fractional degradation allowed on other
             paths touching a relocated FF.
-        batch_sinks: Maximum number of end points *tied at the critical
-            delay* embedded per iteration (algorithm knob).  The default
-            1 reproduces the paper's one-sink-per-iteration loop exactly;
-            larger values embed several tied sinks against the same STA
-            snapshot and merge the results in deterministic sink order.
     """
 
     scheme: DelayScheme = field(default_factory=MaxArrivalScheme)
@@ -103,7 +99,6 @@ class ReplicationConfig:
     aggressive_unification: bool = True
     allow_ff_relocation: bool = True
     ff_relocation_slack: float = 0.05
-    batch_sinks: int = 1
 
     def to_dict(self) -> dict:
         """JSON-ready dict; the scheme is stored by its canonical key.
@@ -120,7 +115,23 @@ class ReplicationConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ReplicationConfig":
+        """Inverse of :meth:`to_dict`; reads older checkpoints' configs.
+
+        Raises:
+            CheckpointError: ``batch_sinks`` is not 1, i.e. the config
+                belongs to a batched run this loop cannot continue.
+        """
         kwargs = {k: v for k, v in data.items() if k not in _RETIRED_FLOW_KEYS}
+        # Checkpoints written while the loop could embed several tied
+        # sinks per iteration store ``batch_sinks``; 1 is this loop.
+        batch_sinks = kwargs.pop("batch_sinks", 1)
+        if batch_sinks != 1:
+            from repro.core.checkpoint import CheckpointError
+
+            raise CheckpointError(
+                f"config has batch_sinks={batch_sinks!r}: tied-sink "
+                "batching was removed, so only one-sink runs resume"
+            )
         kwargs["scheme"] = scheme_by_name(kwargs["scheme"])
         return cls(**kwargs)
 
@@ -154,7 +165,6 @@ class RunConfig:
             or ``none`` to skip replication).
         effort: Replication-flow effort dial (scales iteration budget,
             patience and tree caps together).
-        batch_sinks: Tied critical endpoints embedded per iteration.
         route: Run low-stress + infinite routing at the end.
         checkpoint_every: Checkpoint the flow every N iterations
             (0 = disabled; needs a run directory).
@@ -173,7 +183,6 @@ class RunConfig:
     place_effort: float = 0.3
     algorithm: str = "rt"
     effort: float = 1.0
-    batch_sinks: int = 1
     route: bool = False
     checkpoint_every: int = 0
     netlist_store: str | None = None
@@ -211,5 +220,4 @@ class RunConfig:
             patience=max(2, int(6 * self.effort)),
             max_tree_nodes=max(12, int(48 * self.effort)),
             max_labels_per_vertex=6,
-            batch_sinks=self.batch_sinks,
         )

@@ -111,25 +111,6 @@ class OptimizationResult:
         return self.history[-1].unified_cum if self.history else 0
 
 
-@dataclass
-class _MutableLoopState:
-    """Loop-carried bookkeeping, shared between ``run`` and ``_loop``.
-
-    One mutable object instead of a tuple of locals so the crash path and
-    the checkpointer both see the state exactly as the loop left it.
-    """
-
-    last_sink: Endpoint | None
-    last_improved: bool
-    no_improve: int
-    replicated_cum: int
-    unified_cum: int
-    initial_delay: float
-    best_delay: float
-    best_netlist: Netlist
-    best_placement: Placement
-
-
 class ReplicationOptimizer:
     """Placement-coupled replication engine over a placed netlist.
 
@@ -177,9 +158,10 @@ class ReplicationOptimizer:
             checkpointer: A :class:`repro.core.checkpoint.Checkpointer`;
                 the full flow state is saved after every N-th completed
                 iteration, so a killed run restarts mid-loop.
-            resume_state: A restored :class:`FlowState` — the loop
-                re-enters at ``resume_state.iteration + 1`` and the
-                continuation is bit-identical to the uninterrupted run.
+            resume_state: A restored :class:`FlowState`, continued in
+                place — the loop re-enters at ``resume_state.iteration +
+                1`` and the continuation is bit-identical to the
+                uninterrupted run.
         """
         config = self.config
         # One incremental STA engine serves the whole run: it tracks
@@ -188,39 +170,25 @@ class ReplicationOptimizer:
         sta = self._sta = IncrementalSTA(self.netlist, self.placement)
         with PERF.timer("flow.sta"):
             analysis = sta.analysis()
-        if resume_state is not None:
-            initial_delay = resume_state.initial_delay
-            best_delay = resume_state.best_delay
-            best_netlist = resume_state.best_netlist
-            best_placement = resume_state.best_placement
-            history = list(resume_state.history)
-            epsilon = dict(resume_state.epsilon)
-            last_sink = resume_state.last_sink
-            last_improved = resume_state.last_improved
-            no_improve = resume_state.no_improve
-            replicated_cum = resume_state.replicated_cum
-            unified_cum = resume_state.unified_cum
-            start_iteration = resume_state.iteration + 1
+        if resume_state is None:
+            delay = analysis.critical_delay
+            state = FlowState(
+                iteration=-1,
+                initial_delay=delay,
+                best_delay=delay,
+                best_netlist=self.netlist.clone(),
+                best_placement=self.placement.copy(),
+            )
         else:
-            initial_delay = analysis.critical_delay
-            best_delay = initial_delay
-            best_netlist = self.netlist.clone()
-            best_placement = self.placement.copy()
-            history = []
-            epsilon = {}
-            last_sink = None
-            last_improved = True
-            no_improve = 0
-            replicated_cum = 0
-            unified_cum = 0
-            start_iteration = 0
-        terminated_early = False
+            state = resume_state
+        # Checkpoints save the netlist and placement the loop works on.
+        state.netlist, state.placement = self.netlist, self.placement
 
         if journal is not None:
             journal.event(
                 "start",
-                initial_delay=initial_delay,
-                iteration=start_iteration,
+                initial_delay=state.initial_delay,
+                iteration=state.iteration + 1,
                 resumed=resume_state is not None,
                 cells=self.netlist.num_cells,
                 max_iterations=config.max_iterations,
@@ -228,23 +196,7 @@ class ReplicationOptimizer:
 
         try:
             terminated_early = self._loop(
-                sta=sta,
-                journal=journal,
-                checkpointer=checkpointer,
-                start_iteration=start_iteration,
-                history=history,
-                epsilon=epsilon,
-                state=_MutableLoopState(
-                    last_sink=last_sink,
-                    last_improved=last_improved,
-                    no_improve=no_improve,
-                    replicated_cum=replicated_cum,
-                    unified_cum=unified_cum,
-                    initial_delay=initial_delay,
-                    best_delay=best_delay,
-                    best_netlist=best_netlist,
-                    best_placement=best_placement,
-                ),
+                state, sta=sta, journal=journal, checkpointer=checkpointer
             )
         except BaseException as exc:
             # Crash path: leave readable artifacts behind.  The journal
@@ -256,25 +208,20 @@ class ReplicationOptimizer:
             self._sta = None
             raise
 
-        state = self._last_state
-        best_netlist = state.best_netlist
-        best_placement = state.best_placement
-        best_delay = state.best_delay
-
         # Hand back the best snapshot (Section V-D: "we save the best
         # solution seen ... so that we can always report the best").
         # Detach the engine first: the optimizer's netlist/placement
         # references are about to be swapped out from under it.
         sta.detach()
         self._sta = None
-        self.netlist = best_netlist
-        self.placement = best_placement
+        self.netlist = state.best_netlist
+        self.placement = state.best_placement
         result = OptimizationResult(
-            netlist=best_netlist,
-            placement=best_placement,
-            initial_delay=initial_delay,
-            final_delay=best_delay,
-            history=history,
+            netlist=state.best_netlist,
+            placement=state.best_placement,
+            initial_delay=state.initial_delay,
+            final_delay=state.best_delay,
+            history=state.history,
             terminated_early=terminated_early,
         )
         if journal is not None:
@@ -290,22 +237,17 @@ class ReplicationOptimizer:
             )
         return result
 
-    def _loop(
-        self,
-        *,
-        sta,
-        journal,
-        checkpointer,
-        start_iteration: int,
-        history: list[IterationRecord],
-        epsilon: dict[Endpoint, float],
-        state: "_MutableLoopState",
-    ) -> bool:
-        """The iteration loop proper; returns ``terminated_early``."""
+    def _loop(self, state: FlowState, *, sta, journal, checkpointer) -> bool:
+        """The iteration loop proper; returns ``terminated_early``.
+
+        ``state`` is the checkpoint's own :class:`FlowState`: the loop
+        updates it in place and hands it to the checkpointer as it is.
+        """
         config = self.config
-        self._last_state = state
+        history = state.history
+        epsilon = state.epsilon
         terminated_early = False
-        for iteration in range(start_iteration, config.max_iterations):
+        for iteration in range(state.iteration + 1, config.max_iterations):
             iter_start = time.perf_counter()
             self._iter_stats = {}
             with PERF.timer("flow.sta"):
@@ -326,73 +268,40 @@ class ReplicationOptimizer:
 
             sink_arrival_before = analysis.endpoint_arrival.get(sink, 0.0)
             eps = epsilon.get(sink, 0.0)
-            batch = (
-                self._select_sink_batch(analysis)
-                if config.batch_sinks > 1 and not relocate_ff
-                else [sink]
-            )
 
             note = ""
             replicated = unified = 0
-            if len(batch) > 1:
+            info = self._replication_tree(analysis, sink, eps, relocate_ff)
+            if info is None:
+                note = "trivial tree"
+            else:
+                self._iter_stats["tree_nodes"] = len(info.tree)
+                self._iter_stats["tree_movable"] = info.num_movable
+                snapshot_nl = self.netlist.clone()
+                snapshot_pl = self.placement.copy()
                 with PERF.timer("flow.embed"):
-                    applied = self._embed_batch(batch, analysis, epsilon)
-                self._iter_stats["tree_nodes"] = sum(
-                    len(info.tree) for info, _e, _l in applied
-                )
-                self._iter_stats["tree_movable"] = sum(
-                    info.num_movable for info, _e, _l in applied
-                )
-                self._iter_stats["embed_candidates"] = len(applied)
-                if not applied:
+                    picked = self._embed_and_pick(
+                        info, analysis, delay_before, relocate_ff
+                    )
+                if picked is None:
                     note = "no embedding"
                 else:
-                    snapshot_nl = self.netlist.clone()
-                    snapshot_pl = self.placement.copy()
-                    limit = delay_before * (1.0 + config.degradation_allowance)
+                    embedding, label = picked
                     with PERF.timer("flow.apply"):
-                        replicated, unified = self._apply_batch(applied, limit)
+                        replicated, unified = self._apply(info, embedding, label)
+                    # Intermediate degradation is tolerated (Section V-D
+                    # keeps the best snapshot for exactly this reason) —
+                    # legalization after a replication batch routinely
+                    # costs a little elsewhere before later iterations
+                    # win it back.  Only runaway steps are rolled back.
+                    limit = delay_before * (1.0 + config.degradation_allowance)
                     with PERF.timer("flow.sta"):
                         degraded = sta.analysis().critical_delay > limit + 1e-9
-                    if degraded:
+                    if degraded and not relocate_ff:
                         self.netlist.assign_from(snapshot_nl)
                         self.placement.assign_from(snapshot_pl)
                         replicated = unified = 0
                         note = "reverted"
-                    else:
-                        note = f"batch of {len(applied)}"
-            else:
-                info = self._replication_tree(analysis, sink, eps, relocate_ff)
-                if info is None:
-                    note = "trivial tree"
-                else:
-                    self._iter_stats["tree_nodes"] = len(info.tree)
-                    self._iter_stats["tree_movable"] = info.num_movable
-                    snapshot_nl = self.netlist.clone()
-                    snapshot_pl = self.placement.copy()
-                    with PERF.timer("flow.embed"):
-                        picked = self._embed_and_pick(
-                            info, analysis, delay_before, relocate_ff
-                        )
-                    if picked is None:
-                        note = "no embedding"
-                    else:
-                        embedding, label = picked
-                        with PERF.timer("flow.apply"):
-                            replicated, unified = self._apply(info, embedding, label)
-                        # Intermediate degradation is tolerated (Section V-D
-                        # keeps the best snapshot for exactly this reason) —
-                        # legalization after a replication batch routinely
-                        # costs a little elsewhere before later iterations
-                        # win it back.  Only runaway steps are rolled back.
-                        limit = delay_before * (1.0 + config.degradation_allowance)
-                        with PERF.timer("flow.sta"):
-                            degraded = sta.analysis().critical_delay > limit + 1e-9
-                        if degraded and not relocate_ff:
-                            self.netlist.assign_from(snapshot_nl)
-                            self.placement.assign_from(snapshot_pl)
-                            replicated = unified = 0
-                            note = "reverted"
 
             with PERF.timer("flow.sta"):
                 analysis = sta.analysis()
@@ -449,6 +358,7 @@ class ReplicationOptimizer:
                 state.best_netlist = self.netlist.clone()
                 state.best_placement = self.placement.copy()
 
+            state.iteration = iteration
             state.last_improved = record.progressed
             state.last_sink = sink
             if record.progressed:
@@ -464,24 +374,7 @@ class ReplicationOptimizer:
 
             if checkpointer is not None and checkpointer.due(iteration):
                 with PERF.timer("flow.checkpoint"):
-                    checkpointer.save(
-                        FlowState(
-                            iteration=iteration,
-                            epsilon=epsilon,
-                            last_sink=state.last_sink,
-                            last_improved=state.last_improved,
-                            no_improve=state.no_improve,
-                            replicated_cum=state.replicated_cum,
-                            unified_cum=state.unified_cum,
-                            initial_delay=state.initial_delay,
-                            best_delay=state.best_delay,
-                            history=history,
-                            netlist=self.netlist,
-                            placement=self.placement,
-                            best_netlist=state.best_netlist,
-                            best_placement=state.best_placement,
-                        )
-                    )
+                    checkpointer.save(state)
                 if journal is not None:
                     journal.event("checkpoint", iteration=iteration)
         return terminated_early
@@ -592,21 +485,16 @@ class ReplicationOptimizer:
 
     def _apply(self, info: ReplicationTreeInfo, embedding, label: Label) -> tuple[int, int]:
         """Extract, unify and legalize; returns (replicated, unified)."""
+        config = self.config
+        sta = self._sta
         outcome = apply_embedding(
             self.netlist, self.placement, self.graph, info, embedding, label,
         )
-        unified = self._unify_and_legalize()
-        return len(outcome.replicated), len(outcome.swept) + unified
-
-    def _unify_and_legalize(self) -> int:
-        """Post-process unification + legalization; returns cells unified."""
-        config = self.config
         # Aggressive unification budgets each pin move against a single
         # STA's slacks; many moves can jointly overdraw (the wiring
         # overshoot Section VIII worries about).  Guard it: if the pass
         # degrades the critical delay, roll back and redo with strict
         # improvement-only moves (which can never degrade arrivals).
-        sta = self._sta
         before_unify = sta.analysis().critical_delay
         if config.aggressive_unification:
             snapshot_nl = self.netlist.clone()
@@ -632,92 +520,10 @@ class ReplicationOptimizer:
         )
         with PERF.timer("flow.legalize"):
             legal = legalizer.legalize()
-        stats = self._iter_stats
-        stats["legalizer_moves"] = stats.get("legalizer_moves", 0) + legal.ripple_moves
-        stats["legalizer_displacement"] = (
-            stats.get("legalizer_displacement", 0) + legal.displacement
-        )
-        return len(unify.retired) + len(unify.deleted) + len(legal.unifications)
-
-    # ------------------------------------------------------------------
-    # Batched per-sink embedding (tied critical endpoints)
-    # ------------------------------------------------------------------
-
-    def _select_sink_batch(self, analysis) -> list[Endpoint]:
-        """End points tied at the critical delay, most critical first.
-
-        Ordering is ``(-arrival, endpoint)`` so the head of the batch is
-        exactly the endpoint :func:`critical_of` would report.
-        """
-        critical = analysis.critical_delay
-        arrivals = analysis.endpoint_arrival
-        tied = [ep for ep, arrival in arrivals.items() if arrival >= critical - 1e-9]
-        tied.sort(key=lambda ep: (-arrivals[ep], ep))
-        return tied[: self.config.batch_sinks]
-
-    def _embed_batch(self, batch, analysis, epsilon):
-        """Embed every batch sink against the same STA snapshot.
-
-        Returns ``(info, embedding, label)`` for each sink, in batch
-        order, that has a useful embedding.  FF relocation is never
-        batched, so every root stays fixed.
-        """
-        picked = []
-        for sink in batch:
-            info = self._replication_tree(
-                analysis, sink, epsilon.get(sink, 0.0), movable_root=False
-            )
-            if info is None:
-                continue
-            chosen = self._embed_and_pick(
-                info, analysis, analysis.critical_delay, relocate_ff=False
-            )
-            if chosen is not None:
-                picked.append((info, *chosen))
-        return picked
-
-    def _embedding_cells_alive(self, info: ReplicationTreeInfo) -> bool:
-        """Can this tree still be applied?  Earlier batch members may have
-        swept cells the tree references (shared cones)."""
-        cells = self.netlist.cells
-        if info.endpoint[0] not in cells:
-            return False
-        for cell_id in info.node_cell.values():
-            if cell_id not in cells:
-                return False
-        for cell_id in info.leaf_cell.values():
-            if cell_id not in cells or not self.placement.is_placed(cell_id):
-                return False
-        return True
-
-    def _apply_batch(self, applied, limit: float) -> tuple[int, int]:
-        """Merge batch embeddings in sink order; one unify/legalize pass.
-
-        Each sink's application is individually guarded: a member that
-        pushes the critical delay past ``limit`` is rolled back without
-        disturbing the members already merged.
-        """
-        sta = self._sta
-        replicated = 0
-        swept = 0
-        for info, embedding, label in applied:
-            if not self._embedding_cells_alive(info):
-                continue
-            snapshot_nl = self.netlist.clone()
-            snapshot_pl = self.placement.copy()
-            outcome = apply_embedding(
-                self.netlist, self.placement, self.graph, info, embedding, label
-            )
-            with PERF.timer("flow.sta"):
-                runaway = sta.analysis().critical_delay > limit + 1e-9
-            if runaway:
-                self.netlist.assign_from(snapshot_nl)
-                self.placement.assign_from(snapshot_pl)
-                continue
-            replicated += len(outcome.replicated)
-            swept += len(outcome.swept)
-        unified = self._unify_and_legalize()
-        return replicated, swept + unified
+        self._iter_stats["legalizer_moves"] = legal.ripple_moves
+        self._iter_stats["legalizer_displacement"] = legal.displacement
+        unified = len(unify.retired) + len(unify.deleted) + len(legal.unifications)
+        return len(outcome.replicated), len(outcome.swept) + unified
 
 
 def optimize_replication(

@@ -103,9 +103,7 @@ class TestCli:
 
     @pytest.mark.parametrize("experiment", ["table1", "table2", "table3", "fig14"])
     @pytest.mark.parametrize(
-        "flag",
-        [["--batch-sinks", "2"], ["--perf-json", "perf.json"]],
-        ids=["batch-sinks", "perf-json"],
+        "flag", [["--perf-json", "perf.json"]], ids=["perf-json"]
     )
     def test_overhead_only_flags_rejected_elsewhere(
         self, capsys, experiment, flag
@@ -116,3 +114,14 @@ class TestCli:
             runner.main([experiment, "--circuits", "tsneg", *flag])
         assert exc.value.code == 2
         assert f"{flag[0]} applies to overhead only" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "experiment", ["table1", "table2", "table3", "fig14", "overhead"]
+    )
+    def test_batch_sinks_is_not_a_flag(self, capsys, experiment):
+        """The flow embeds one sink per iteration: every experiment,
+        overhead included, rejects ``--batch-sinks`` before any work."""
+        with pytest.raises(SystemExit) as exc:
+            runner.main([experiment, "--circuits", "tsneg", "--batch-sinks", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --batch-sinks 2" in capsys.readouterr().err

@@ -122,7 +122,7 @@ class TestConfigHash:
         )
 
     def test_config_round_trips_with_scheme(self):
-        config = ReplicationConfig(scheme=LexScheme(4), batch_sinks=3)
+        config = ReplicationConfig(scheme=LexScheme(4), max_tree_nodes=30)
         restored = ReplicationConfig.from_dict(
             json.loads(json.dumps(config.to_dict()))
         )
@@ -132,13 +132,12 @@ class TestConfigHash:
 
     def test_run_config_round_trip_and_mapping(self):
         run = RunConfig(circuit="tseng", algorithm="lex-3", effort=0.5,
-                        batch_sinks=2, checkpoint_every=4)
+                        checkpoint_every=4)
         restored = RunConfig(**json.loads(json.dumps(run.to_dict())))
         assert restored == run
         config = restored.replication_config()
         assert type(config.scheme) is LexScheme
         assert config.max_iterations == 20
-        assert config.batch_sinks == 2
 
     def test_stable_across_hash_seeds(self):
         """PYTHONHASHSEED randomizes str hashing per process; the hash

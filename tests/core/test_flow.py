@@ -11,6 +11,9 @@ Two hand-built scenarios drive these tests:
   paths pin the achievable delay, so the flow must *not* degrade
   anything while straightening (the paper's own point in that figure is
   monotonicity at roughly equal wirelength, not delay).
+* ``twin_staircase_instance`` — two mirror-image staircases whose sinks
+  tie exactly at the critical delay, so fixing one sink leaves the
+  period unchanged (the per-sink progress of Section V-B).
 """
 
 import pytest
@@ -83,6 +86,59 @@ def fig12_instance():
     placement.place(e, (10, 2))  # right, low
     placement.place(d, (10, 8))  # right, high
     placement.place(c, (5, 5))   # dead center
+    return nl, placement
+
+
+def twin_staircase_instance():
+    """Two mirror-image non-monotone chains; their sinks tie exactly.
+
+    Chain A runs along the top corridor (row 12) with its gates dragged
+    toward the bottom edge by side loads; chain B is the vertical mirror.
+    Every segment length matches between the chains, so the two sink
+    arrivals are the *same float* and both endpoints sit at the critical
+    delay.
+    """
+    nl = Netlist("twin-staircase")
+    sa = nl.add_input("sa")
+    g1a = nl.add_lut("g1a", 1, 0b01)
+    g2a = nl.add_lut("g2a", 1, 0b01)
+    ta = nl.add_output("ta")
+    o1a = nl.add_output("o1a")
+    o2a = nl.add_output("o2a")
+    nl.connect(sa, g1a, 0)
+    nl.connect(g1a, g2a, 0)
+    nl.connect(g2a, ta, 0)
+    nl.connect(g1a, o1a, 0)
+    nl.connect(g2a, o2a, 0)
+
+    sb = nl.add_input("sb")
+    g1b = nl.add_lut("g1b", 1, 0b01)
+    g2b = nl.add_lut("g2b", 1, 0b01)
+    tb = nl.add_output("tb")
+    o1b = nl.add_output("o1b")
+    o2b = nl.add_output("o2b")
+    nl.connect(sb, g1b, 0)
+    nl.connect(g1b, g2b, 0)
+    nl.connect(g2b, tb, 0)
+    nl.connect(g1b, o1b, 0)
+    nl.connect(g2b, o2b, 0)
+
+    arch = FpgaArch(12, 12, delay_model=SIMPLE)
+    placement = Placement(arch)
+    # Chain A: corridor row 12, gates at row 7, side loads on the bottom.
+    placement.place(sa, (0, 12))
+    placement.place(ta, (13, 12))
+    placement.place(o1a, (3, 0))
+    placement.place(o2a, (7, 0))
+    placement.place(g1a, (3, 7))
+    placement.place(g2a, (7, 7))
+    # Chain B: the mirror image (corridor row 1, gates row 6, loads top).
+    placement.place(sb, (0, 1))
+    placement.place(tb, (13, 1))
+    placement.place(o1b, (3, 13))
+    placement.place(o2b, (7, 13))
+    placement.place(g1b, (3, 6))
+    placement.place(g2b, (7, 6))
     return nl, placement
 
 
@@ -180,6 +236,58 @@ class TestFlowBookkeeping:
         stuck = [r for r in result.history if not r.improved]
         if len(stuck) >= 2:
             assert stuck[-1].epsilon >= stuck[0].epsilon
+
+
+class TestTiedEndpoints:
+    """The one-sink loop on the twin staircase's two tied sinks."""
+
+    def test_two_endpoints_tie_exactly(self):
+        nl, placement = twin_staircase_instance()
+        analysis = analyze(nl, placement)
+        critical = analysis.critical_delay
+        tied = [
+            ep
+            for ep, arrival in analysis.endpoint_arrival.items()
+            if arrival == critical
+        ]
+        assert len(tied) == 2
+
+    def test_one_sink_per_iteration(self):
+        nl, placement = twin_staircase_instance()
+        tied = {
+            ep
+            for ep, arrival in analyze(nl, placement).endpoint_arrival.items()
+            if arrival == 25.0
+        }
+        reference = nl.clone()
+        result = optimize_replication(nl, placement, ReplicationConfig())
+        first, second = result.history[:2]
+        # Iteration 0 fixes one sink while the other still sets the
+        # period: it progresses only through its own sink's arrival.
+        assert (first.delay_before, first.delay_after) == (25.0, 25.0)
+        assert not first.improved
+        assert first.sink_improved
+        assert first.progressed
+        assert first.epsilon == 0.0
+        assert {first.sink, second.sink} == tied
+        assert second.delay_after == 21.0
+        assert second.improved
+        assert result.final_delay == 21.0
+
+        replicas = {
+            cell.name: placement.get(cell.cell_id)
+            for cell in nl.cells.values()
+            if cell.name.endswith("_R")
+        }
+        assert replicas == {
+            "g1a_R": (11, 12),
+            "g2a_R": (12, 12),
+            "g1b_R": (11, 1),
+            "g2b_R": (12, 1),
+        }
+        assert check_equivalence(reference, nl)
+        validate_netlist(nl)
+        assert placement.is_legal()
 
 
 class TestLexFlow:

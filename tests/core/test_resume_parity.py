@@ -11,8 +11,9 @@ import json
 
 import pytest
 
-from repro import api
+from repro import api, cli
 from repro.core.checkpoint import (
+    CheckpointError,
     Checkpointer,
     FlowState,
     checkpoint_config,
@@ -132,22 +133,46 @@ def test_api_resume_round_trip(tmp_path):
     assert_placements_identical(baseline.placement, resumed.placement)
 
 
-def test_checkpoint_with_retired_keys_resumes(tmp_path):
-    """Checkpoints written while tied-sink embedding had a worker pool
-    store ``jobs``, an unused ``seed`` and an ``rng_state`` placeholder;
-    reading drops them and the run finishes as before."""
+def _checkpointed_run(run_dir, **config_keys):
+    """A finished checkpointed run whose stored config gets ``config_keys``."""
     design = api.load_design(circuit="tseng", scale=0.05)
     placement = random_placement(design.netlist, design.arch, seed=3)
-    run_dir = tmp_path / "run"
     baseline = api.optimize(
         design, placement, config=CONFIG, run_dir=run_dir, checkpoint_every=2
     )
     path = run_dir / "checkpoint.json"
     payload = json.loads(path.read_text())
-    payload["config"].update(jobs=2, seed=3)
+    payload["config"].update(config_keys)
     payload["state"]["rng_state"] = None
     path.write_text(json.dumps(payload))
+    return baseline
+
+
+def test_checkpoint_with_retired_keys_resumes(tmp_path):
+    """Checkpoints written while tied-sink embedding had a worker pool
+    store ``jobs``, an unused ``seed`` and an ``rng_state`` placeholder,
+    and those written while batching existed store ``batch_sinks: 1``;
+    reading drops them and the run finishes as before."""
+    run_dir = tmp_path / "run"
+    baseline = _checkpointed_run(run_dir, jobs=2, seed=3, batch_sinks=1)
 
     resumed = api.resume(run_dir)
     assert resumed.final_delay == baseline.final_delay
     assert resumed.iterations == baseline.iterations
+
+
+def test_checkpoint_of_a_batched_run_is_refused(tmp_path, capsys):
+    """A run that embedded two tied sinks per iteration cannot continue
+    under the one-sink loop: resume names the key in one line, exits 3
+    and leaves the run directory as it was."""
+    run_dir = tmp_path / "run"
+    _checkpointed_run(run_dir, batch_sinks=2)
+    files = {path.name: path.read_bytes() for path in run_dir.iterdir()}
+
+    with pytest.raises(CheckpointError, match="batch_sinks=2"):
+        api.resume(run_dir)
+    assert cli.main(["resume", str(run_dir)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("repro resume: ") and "batch_sinks=2" in err
+    assert err.count("\n") == 1
+    assert {path.name: path.read_bytes() for path in run_dir.iterdir()} == files

@@ -180,8 +180,8 @@ class TestTopLevelExports:
         from repro.core.checkpoint import config_hash
 
         for algorithm in ("rt", "lex-3", "lex-mc"):
-            via_runner = replication_config(algorithm, 0.5, batch_sinks=2)
+            via_runner = replication_config(algorithm, 0.5)
             via_run_config = RunConfig(
-                algorithm=algorithm, effort=0.5, batch_sinks=2
+                algorithm=algorithm, effort=0.5
             ).replication_config()
             assert config_hash(via_runner) == config_hash(via_run_config)

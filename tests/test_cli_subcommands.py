@@ -163,6 +163,14 @@ class TestUsage:
         usage = build_parser().format_usage()
         assert "{run,route,bench,resume,trace-view,campaign,netlist}" in usage
 
+    def test_batch_sinks_is_not_a_flag(self, capsys):
+        """The flow embeds one sink per iteration; no flag batches sinks
+        (the runner's experiments are checked in tests/bench)."""
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", *RUN_FLAGS, "--batch-sinks", "2"])
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --batch-sinks 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["serve", "submit", "jobs"])
     def test_service_commands_are_gone(self, command, capsys):
         """No service subcommand, and no package module by its name."""
@@ -201,6 +209,49 @@ class TestOutOfRangeNumbers:
         err = capsys.readouterr().err
         assert "usage:" in err and "--scale" in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "main, argv, flag",
+        [
+            (cli_main, ["run", "--circuit", "tseng", "--run-dir", "{tmp}/run"],
+             "--effort"),
+            (cli_main, ["run", "--circuit", "tseng", "--run-dir", "{tmp}/run"],
+             "--place-effort"),
+            (cli_main, ["route", "--circuit", "tseng"], "--place-effort"),
+            (cli_main, ["campaign", "run", "{tmp}/camp",
+                        "--circuits", "tseng", "--algorithms", "rt"],
+             "--effort"),
+            (runner_main, ["table2", "--circuits", "tseng",
+                           "--run-dir", "{tmp}/bench"], "--effort"),
+        ],
+        ids=["run-effort", "run-place-effort", "route-place-effort",
+             "campaign-run-effort", "bench-runner-effort"],
+    )
+    def test_effort_must_be_finite_and_non_negative(
+        self, main, argv, flag, value, capsys, tmp_path
+    ):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, value])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "usage:" in err and flag in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_effort_is_accepted(self):
+        args = build_parser().parse_args(
+            ["run", "--circuit", "tseng", "--effort", "0", "--place-effort", "0"]
+        )
+        assert (args.effort, args.place_effort) == (0.0, 0.0)
+
+    def test_trace_view_limit_must_be_non_negative(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["trace-view", str(tmp_path / "trace.json"),
+                      "--limit", "-1"])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--limit" in err
 
     def test_checkpoint_interval_must_be_non_negative(self, capsys,
                                                       tmp_path):
