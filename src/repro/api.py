@@ -327,21 +327,13 @@ def optimize(
     return out
 
 
-def route(
-    design: Design,
-    placement: Placement,
-    *,
-    start_width: int | None = None,
-) -> RouteResult:
+def route(design: Design, placement: Placement) -> RouteResult:
     """Low-stress + infinite routing with routed-timing STA.
 
-    Every routing call runs in the caller's process.  ``start_width``
-    seeds the W_min search (see
-    :func:`repro.route.find_min_channel_width`); the reported metrics
-    are identical for every hint.
+    Every routing call runs in the caller's process.
     """
     start = time.perf_counter()
-    low = route_low_stress(design.netlist, placement, start_width=start_width)
+    low = route_low_stress(design.netlist, placement)
     infinite = route_infinite(design.netlist, placement)
     w_ls = routed_critical_delay(design.netlist, placement, low)
     w_inf = routed_critical_delay(design.netlist, placement, infinite)
@@ -497,9 +489,9 @@ def campaign_run(
 def campaign_resume(campaign_dir: str | Path, *, jobs: int | None = None, echo=None):
     """Resume a killed/failed campaign: re-run only tasks not ``done``.
 
-    Completed tasks are never re-executed — their rows (and the W_min
-    warm-start cache) are reused as-is.  ``jobs`` optionally overrides
-    the stored worker count (results are identical either way).
+    Completed tasks are never re-executed — their rows are reused
+    as-is.  ``jobs`` optionally overrides the stored worker count
+    (results are identical either way).
     """
     from repro.campaign import CampaignScheduler, CampaignStore
     from repro.campaign.report import load_config

@@ -201,14 +201,9 @@ def run_vpr_baseline(
     scale: float = 0.08,
     seed: int = 0,
     inner_scale: float = 0.25,
-    start_width: int | None = None,
     netlist_store: str | None = None,
 ) -> BaselineRun:
     """Generate, place (timing-driven SA) and route one suite circuit.
-
-    ``start_width`` warm-starts the W_min search only — the measured
-    width is identical for every hint (it typically comes from a
-    previous run's cache, see ``--run-dir``).
 
     ``netlist_store`` loads the circuit from (streaming it into, on
     first use) a :class:`~repro.netlist.store.NetlistStore` as a
@@ -230,9 +225,7 @@ def run_vpr_baseline(
     placement, _stats = place_timing_driven(
         netlist, arch, seed=seed, inner_scale=inner_scale
     )
-    min_width = find_min_channel_width(
-        netlist, placement, start_width=start_width
-    )
+    min_width = find_min_channel_width(netlist, placement)
     low = route_low_stress(netlist, placement, min_width=min_width)
     infinite = route_infinite(netlist, placement)
     elapsed = time.perf_counter() - start
@@ -358,28 +351,6 @@ def averages_by_size(runs: list[VariantRun]) -> dict[str, dict[str, float]]:
 
 
 # ----------------------------------------------------------------------
-# W_min cache (per-run-dir warm-start hints)
-# ----------------------------------------------------------------------
-
-
-def wmin_cache_key(name: str, scale: float, seed: int) -> str:
-    """Key of one (circuit, scale, seed) in the W_min warm-start cache."""
-    return f"{name}@{scale:g}/{seed}"
-
-
-def open_wmin_cache(run_dir: str):
-    """The durable W_min warm-start cache of a run/campaign directory.
-
-    Lives in the directory's ``campaign.sqlite`` store, so warm starts
-    survive restarts and are shared with any campaign run out of the
-    same directory.
-    """
-    from repro.campaign.store import CampaignStore
-
-    return CampaignStore.in_dir(run_dir)
-
-
-# ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
 
@@ -387,7 +358,7 @@ def open_wmin_cache(run_dir: str):
 def main(argv: list[str] | None = None) -> int:
     from repro.bench import tables
 
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(prog="repro bench", description=__doc__)
     parser.add_argument(
         "experiment",
         choices=["table1", "table2", "table3", "fig14", "overhead"],
@@ -402,13 +373,6 @@ def main(argv: list[str] | None = None) -> int:
         "--algorithms",
         default="local,rt,lex-3",
         help=f"CSV of {ALGORITHMS} (table2/table3)",
-    )
-    parser.add_argument(
-        "--run-dir",
-        default=None,
-        metavar="DIR",
-        help="record per-circuit W_min into DIR's campaign store and "
-        "warm-start repeat evaluations from it",
     )
     parser.add_argument(
         "--netlist-store",
@@ -440,20 +404,13 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         parser.error(f"--circuits: {exc}")
 
-    wmin_cache = open_wmin_cache(args.run_dir) if args.run_dir else None
-
     def make_baseline(name: str) -> BaselineRun:
-        key = wmin_cache_key(name, args.scale, args.seed)
-        baseline = run_vpr_baseline(
+        return run_vpr_baseline(
             name,
             scale=args.scale,
             seed=args.seed,
-            start_width=wmin_cache.wmin_get(key) if wmin_cache else None,
             netlist_store=args.netlist_store,
         )
-        if wmin_cache is not None:
-            wmin_cache.wmin_set(key, baseline.min_width)
-        return baseline
 
     if args.experiment == "table1":
         baselines = [make_baseline(name) for name in names]

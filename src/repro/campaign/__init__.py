@@ -14,7 +14,7 @@ Modules:
 * :mod:`repro.campaign.model` — task dataclasses, deterministic task
   ids, matrix construction, campaign config.
 * :mod:`repro.campaign.store` — the ``campaign.sqlite`` result store
-  (WAL mode, one row per task) plus the promoted W_min warm-start cache.
+  (WAL mode, one row per task).
 * :mod:`repro.campaign.scheduler` — process-pool execution: timeout,
   retry with exponential backoff, dependent-skip degradation, fault
   injection for tests.

@@ -11,6 +11,7 @@ work without any bookkeeping beyond the rows themselves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 #: Task lifecycle states recorded in the store.
@@ -84,7 +85,8 @@ class CampaignConfig:
 
     ``retries`` counts *re-runs after the first failure*, so a task is
     attempted at most ``retries + 1`` times per campaign invocation.
-    ``faults`` is the test-facing fault-injection hook: task id → number
+    ``timeout`` (seconds, ``None`` for none) must be finite and > 0,
+    ``backoff`` finite and >= 0.  ``faults`` is the test-facing fault-injection hook: task id → number
     of injected failures; a negative count makes the task hang instead
     of raise (exercising the timeout path).
 
@@ -124,13 +126,30 @@ class CampaignConfig:
             raise ValueError("campaign needs at least one seed")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
+        if self.timeout is not None and not (
+            math.isfinite(self.timeout) and self.timeout > 0
+        ):
+            raise ValueError(
+                f"timeout must be a finite number of seconds > 0, "
+                f"got {self.timeout:g}"
+            )
+        if not (math.isfinite(self.backoff) and self.backoff >= 0):
+            raise ValueError(
+                f"backoff must be a finite number of seconds >= 0, "
+                f"got {self.backoff:g}"
+            )
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignConfig":
-        return cls(**{k: v for k, v in data.items() if k not in _RETIRED_KEYS})
+        data = {k: v for k, v in data.items() if k not in _RETIRED_KEYS}
+        timeout = data.get("timeout")
+        if timeout is not None and (timeout == 0 or math.isnan(timeout)):
+            # Stored before timeouts were checked: both meant no timeout.
+            data["timeout"] = None
+        return cls(**data)
 
     @property
     def max_attempts(self) -> int:

@@ -21,7 +21,12 @@ def load_config(store: CampaignStore) -> CampaignConfig:
     data = store.get_meta("config")
     if data is None:
         raise CampaignStoreError("store has no campaign config recorded")
-    return CampaignConfig.from_dict(data)
+    try:
+        return CampaignConfig.from_dict(data)
+    except ValueError as exc:
+        raise CampaignStoreError(
+            f"stored campaign config is invalid: {exc}"
+        ) from None
 
 
 def gather_runs(store: CampaignStore, seed: int | None = None):
@@ -118,9 +123,6 @@ def render_status(store: CampaignStore) -> str:
                 f"  {row['status']:<8} {row['task_id']} "
                 f"(attempts {row['attempts']}){suffix}"
             )
-    cache = store.wmin_all()
-    if cache:
-        lines.append(f"wmin cache: {len(cache)} warm-start entries")
     stats = store.task_stats()
     payloads = [
         s["payload_bytes"] for s in stats.values()

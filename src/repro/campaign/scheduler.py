@@ -57,8 +57,8 @@ def execute_task(payload: dict) -> dict:
     """Run one task described by a scheduler payload; returns result dict.
 
     Importable directly (tests, debugging): everything the task needs is
-    in the payload — the task row, the execution knobs, the serialized
-    baseline for variants, and the W_min warm-start hint for baselines.
+    in the payload — the task row, the execution knobs and, for
+    variants, the serialized baseline.
     """
     task = payload["task"]
     inject = payload.get("inject", _FAULT_NONE)
@@ -90,7 +90,6 @@ def execute_task(payload: dict) -> dict:
                 task["circuit"],
                 scale=task["scale"],
                 seed=task["seed"],
-                start_width=payload.get("start_width"),
                 netlist_store=store_path,
             )
             if store_path is None:
@@ -385,13 +384,7 @@ class CampaignScheduler:
             "netlist_store": config.netlist_store,
             "inject": self._fault_code(task.task_id, attempt),
         }
-        if task.kind == "baseline":
-            from repro.bench.runner import wmin_cache_key
-
-            payload["start_width"] = self.store.wmin_get(
-                wmin_cache_key(task.circuit, task.scale, task.seed)
-            )
-        else:
+        if task.kind == "variant":
             payload["baseline"] = self.store.result_of(task.deps[0])
         return payload
 
@@ -482,13 +475,6 @@ class CampaignScheduler:
 
             if PERF.enabled:
                 PERF.record_max("peak_rss_mb", stats["peak_rss_mb"])
-        if task.kind == "baseline":
-            from repro.bench.runner import wmin_cache_key
-
-            self.store.wmin_set(
-                wmin_cache_key(task.circuit, task.scale, task.seed),
-                result["min_width"],
-            )
         self.echo(f"done    {task.task_id} ({seconds:.1f}s)")
 
     def _record_failure(self, handle: _Handle, error: str) -> None:

@@ -6,8 +6,7 @@ readers can share it while workers run.  One row per task carries the
 full lifecycle: status, attempt count, wall seconds, the result payload
 as JSON (a :class:`BaselineRun`/:class:`VariantRun` round-trip dict) and
 the traceback of the last failure.  The ``meta`` table stores the
-campaign config; the ``wmin`` table is the W_min warm-start cache, so
-warm starts survive restarts.
+campaign config.
 
 Two deliberate structural choices keep the durability story simple:
 
@@ -56,10 +55,6 @@ CREATE TABLE IF NOT EXISTS tasks (
     updated_at REAL
 );
 CREATE INDEX IF NOT EXISTS tasks_status ON tasks(status);
-CREATE TABLE IF NOT EXISTS wmin (
-    key   TEXT PRIMARY KEY,
-    width INTEGER NOT NULL
-);
 CREATE TABLE IF NOT EXISTS task_stats (
     task_id       TEXT PRIMARY KEY,
     payload_bytes INTEGER,
@@ -292,28 +287,4 @@ class CampaignStore:
                 for row in conn.execute(
                     "SELECT task_id, payload_bytes, peak_rss_mb FROM task_stats"
                 )
-            }
-
-    # -- W_min warm-start cache ---------------------------------------
-
-    def wmin_get(self, key: str) -> int | None:
-        with self._connect() as conn:
-            row = conn.execute(
-                "SELECT width FROM wmin WHERE key=?", (key,)
-            ).fetchone()
-        return None if row is None else row["width"]
-
-    def wmin_set(self, key: str, width: int) -> None:
-        with self._connect() as conn:
-            conn.execute(
-                "INSERT INTO wmin(key, width) VALUES(?, ?) "
-                "ON CONFLICT(key) DO UPDATE SET width=excluded.width",
-                (key, width),
-            )
-
-    def wmin_all(self) -> dict[str, int]:
-        with self._connect() as conn:
-            return {
-                row["key"]: row["width"]
-                for row in conn.execute("SELECT key, width FROM wmin")
             }

@@ -134,10 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     route = sub.add_parser("route", help="route a placement, report timing")
     _add_input_arguments(route)
-    route.add_argument("--start-width", type=int, default=None,
-                       dest="start_width", metavar="W",
-                       help="warm-start the W_min search at this width "
-                       "(e.g. a prior run's result; never changes the answer)")
     route.set_defaults(func=cmd_route)
 
     bench = sub.add_parser(
@@ -370,9 +366,7 @@ def cmd_run(args) -> int:
 
 def cmd_route(args) -> int:
     design, placed = _load_and_place(args)
-    _print_routing(
-        api.route(design, placed.placement, start_width=args.start_width)
-    )
+    _print_routing(api.route(design, placed.placement))
     return 0
 
 

@@ -37,14 +37,11 @@ def find_min_channel_width(
     placement: Placement,
     max_width: int = 128,
     max_iterations: int = 16,
-    start_width: int | None = None,
 ) -> int:
     """Smallest routable channel width, per the reference probe protocol.
 
     Runs the warm-started, bound-pruned search in
-    :mod:`repro.route.wmin`; ``start_width`` seeds the search with a
-    prior result (e.g. this circuit's width from an earlier run)
-    without affecting the returned width.
+    :mod:`repro.route.wmin`.
     """
     with PERF.timer("route.wmin"):
         return find_min_channel_width_fast(
@@ -52,7 +49,6 @@ def find_min_channel_width(
             placement,
             max_width=max_width,
             max_iterations=max_iterations,
-            start_width=start_width,
         )
 
 
@@ -61,13 +57,10 @@ def route_low_stress(
     placement: Placement,
     min_width: int | None = None,
     stress_margin: float = 0.2,
-    start_width: int | None = None,
 ) -> RoutingResult:
     """Route with ~20% spare tracks over the minimum ([18]'s low stress)."""
     if min_width is None:
-        min_width = find_min_channel_width(
-            netlist, placement, start_width=start_width
-        )
+        min_width = find_min_channel_width(netlist, placement)
     width = max(min_width + 1, math.ceil(min_width * (1.0 + stress_margin)))
     with PERF.timer("route.lowstress"):
         return route_design(netlist, placement, width)

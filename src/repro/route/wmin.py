@@ -350,13 +350,12 @@ def find_min_channel_width_fast(
     placement: Placement,
     max_width: int = 128,
     max_iterations: int = 16,
-    start_width: int | None = None,
 ) -> int:
     """Warm-started, bound-pruned W_min search.
 
     Returns the same width as the reference galloping bisection (under
-    its own monotone-routability assumption), for any ``start_width``
-    hint; see the module docstring for the protocol.
+    its own monotone-routability assumption); see the module docstring
+    for the protocol.
     """
     arch = placement.arch
     nets = _routable_nets(netlist, placement, True)
@@ -395,38 +394,7 @@ def find_min_channel_width_fast(
                 low = mid + 1
         return high
 
-    replay_cache: dict[int, tuple] = {}
-
-    def replay_probe(width: int, seed_routes, seed_hist):
-        """Full-effort seeded probe (the confirmation's failure side).
-
-        Probes from the pristine history-free W∞ seed are
-        memoized: the probe is deterministic in ``width`` for that
-        seed, so phase A's terminal boundary step and phase B's
-        confirmation replay at the same width share one run.
-        """
-        cacheable = seed_routes is winf_routes and seed_hist is None
-        if cacheable and width in replay_cache:
-            if PERF.enabled:
-                PERF.add("route.wmin.replay_cache_hits")
-            return replay_cache[width]
-        with PERF.timer("route.wmin.replay"):
-            ok, routes, hist, _iters, _aborted, counters = _warm_probe(
-                arch, items, width, seed_routes, seed_hist,
-                max_iterations, full_effort=True,
-            )
-        if PERF.enabled:
-            counters = dict(counters)
-            # A replay is its own probe class, not a warm probe.
-            counters.pop("route.wmin.warm_probes", None)
-            PERF.merge_counts(counters)
-            PERF.add("route.wmin.replay_probes")
-        result = (ok, routes, hist)
-        if cacheable:
-            replay_cache[width] = result
-        return result
-
-    # The W∞ solution seeds both the hint check and the warm search.
+    # The W∞ solution seeds the warm search and every replay.
     with PERF.timer("route.wmin.winf"):
         items = _indexed_items(template, nets)
         warm_routes, peak = _route_winf(template, items)
@@ -436,49 +404,21 @@ def find_min_channel_width_fast(
     # confirmation replays from this history-free seed only.
     winf_routes = warm_routes
 
-    # --- start-width hint: one cold probe + one replay probe ----------
-    hi = None
-    if start_width is not None:
-        hinted = max(lower, min(start_width, ceiling))
-        if cold(hinted):
-            if hinted - 1 < lower:
-                if PERF.enabled:
-                    PERF.add("route.wmin.hint_hits")
-                return hinted
-            ok_below, routes, hist = replay_probe(
-                hinted - 1, warm_routes, warm_hist
-            )
-            if not ok_below:
-                # Same verdict the reference hint path reaches with
-                # a second cold probe (see phase B's exactness
-                # argument: a full-effort seeded probe that fails is
-                # taken as the cold failure it replays).
-                if PERF.enabled:
-                    PERF.add("route.wmin.hint_hits")
-                return hinted
-            # Hint too high: the replay probe found a legal
-            # solution below it — bisect down from there.
-            warm_routes, warm_hist = routes, hist
-            hi = hinted - 1
-        # Mis-hint low: the cold cache keeps what we learned; fall
-        # through to the full search.
-
     # --- phase A: warm candidate search -------------------------------
     candidate = ceiling
-    if hi is None:
-        if peak <= ceiling:
-            hi = peak  # the W∞ solution itself is legal at this width
+    if peak <= ceiling:
+        hi = peak  # the W∞ solution itself is legal at this width
+    else:
+        success, routes, hist, _iters, _aborted, counters = _warm_probe(
+            arch, items, ceiling, warm_routes, None, max_iterations
+        )
+        if PERF.enabled:
+            PERF.merge_counts(counters)
+        if success:
+            hi = ceiling
+            warm_routes, warm_hist = routes, hist
         else:
-            success, routes, hist, _iters, _aborted, counters = _warm_probe(
-                arch, items, ceiling, warm_routes, None, max_iterations
-            )
-            if PERF.enabled:
-                PERF.merge_counts(counters)
-            if success:
-                hi = ceiling
-                warm_routes, warm_hist = routes, hist
-            else:
-                hi = None  # no warm solution at all: cold probes decide
+            hi = None  # no warm solution at all: cold probes decide
     if hi is not None:
         with PERF.timer("route.wmin.search"):
             lo = lower
@@ -529,18 +469,26 @@ def find_min_channel_width_fast(
                 if PERF.enabled:
                     PERF.add("route.wmin.verify_failures")
                 break  # distrust the warm state entirely
-            # Replay from the pristine W∞ seed with no history —
-            # the same seed the hint path replays from, and the
-            # trajectory closest to the cold probe this stands in
-            # for.  The warm state's accrued history can wedge the
-            # descent where a fresh start does not (observed on
-            # misex3), so it is never used as a replay seed.
-            ok_below, routes, hist = replay_probe(
-                candidate - 1, winf_routes, None
-            )
+            # Replay from the pristine W∞ seed with no history — the
+            # trajectory closest to the cold probe this stands in for.
+            # The warm state's accrued history can wedge the descent
+            # where a fresh start does not (observed on misex3), so it
+            # is never used as a replay seed.
+            with PERF.timer("route.wmin.replay"):
+                ok_below, routes, _hist, _iters, _aborted, counters = (
+                    _warm_probe(
+                        arch, items, candidate - 1, winf_routes, None,
+                        max_iterations, full_effort=True,
+                    )
+                )
+            if PERF.enabled:
+                # A replay is its own probe class, not a warm probe.
+                counters.pop("route.wmin.warm_probes")
+                PERF.merge_counts(counters)
+                PERF.add("route.wmin.replay_probes")
             if ok_below:
                 candidate -= 1
-                warm_routes, warm_hist = routes, hist
+                warm_routes = routes
                 if PERF.enabled:
                     PERF.add("route.wmin.replay_slides")
                 continue

@@ -101,6 +101,14 @@ class TestCli:
         assert "Table I" in out
         assert "tseng" in out
 
+    def test_usage_names_repro_bench(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            runner.main(["table2", "--effort", "inf"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro bench ")
+        assert "repro bench: error: " in err
+
     @pytest.mark.parametrize("experiment", ["table1", "table2", "table3", "fig14"])
     @pytest.mark.parametrize(
         "flag", [["--perf-json", "perf.json"]], ids=["perf-json"]

@@ -1,4 +1,4 @@
-"""Durable store: WAL mode, lifecycle transitions, wmin cache, old stores."""
+"""Durable store: WAL mode, lifecycle transitions, old stores."""
 
 import sqlite3
 
@@ -6,6 +6,7 @@ import pytest
 
 from repro import api
 from repro.campaign.model import CampaignConfig, build_matrix
+from repro.campaign.report import load_config
 from repro.campaign.store import CampaignStore, CampaignStoreError
 
 
@@ -85,15 +86,6 @@ class TestTaskLifecycle:
         assert row["total_attempts"] == 2
 
 
-class TestWminCache:
-    def test_set_get_overwrite(self, store):
-        assert store.wmin_get("tseng@0.02/0") is None
-        store.wmin_set("tseng@0.02/0", 4)
-        store.wmin_set("tseng@0.02/0", 3)
-        assert store.wmin_get("tseng@0.02/0") == 3
-        assert store.wmin_all() == {"tseng@0.02/0": 3}
-
-
 class TestOldStores:
     def test_retired_routing_keys_resume_and_report(self, tmp_path):
         """A store written when routing still had selectable variants
@@ -120,3 +112,61 @@ class TestOldStores:
         assert summary.ok and summary.done == 2
         report = api.campaign_report(tmp_path / "camp", "table1")
         assert "tseng" in report
+
+    def test_populated_wmin_table_is_never_read(self, tmp_path):
+        """A store written while W_min searches took warm-start hints
+        keeps a populated ``wmin`` table.  Nothing reads it: status,
+        resume and report come out as from a store without one."""
+        flags = dict(circuits="tseng", algorithms="rt", scale=0.02, effort=0.2)
+        assert api.campaign_run(tmp_path / "fresh", **flags).ok
+        status = api.campaign_status(tmp_path / "fresh")
+
+        config = CampaignConfig(
+            circuits=["tseng"], algorithms=["rt"], scale=0.02, effort=0.2
+        )
+        for camp in (tmp_path / "fresh", tmp_path / "old"):
+            store = CampaignStore.in_dir(camp)
+            conn = sqlite3.connect(store.path)
+            try:
+                with conn:
+                    conn.execute(
+                        "CREATE TABLE IF NOT EXISTS wmin "
+                        "(key TEXT PRIMARY KEY, width INTEGER NOT NULL)"
+                    )
+                    # A wrong width: reading it as a hint would show.
+                    conn.execute(
+                        "INSERT OR REPLACE INTO wmin VALUES('tseng@0.02/0', 1)"
+                    )
+            finally:
+                conn.close()
+        old = CampaignStore.in_dir(tmp_path / "old")
+        old.set_meta("config", config.to_dict())
+        old.add_tasks(build_matrix(config))
+
+        assert api.campaign_status(tmp_path / "fresh") == status
+        assert "wmin" not in status
+        summary = api.campaign_resume(tmp_path / "old")
+        assert summary.ok and summary.done == 2
+        for experiment in ("table1", "table2"):
+            assert api.campaign_report(
+                tmp_path / "old", experiment
+            ) == api.campaign_report(tmp_path / "fresh", experiment)
+
+    @pytest.mark.parametrize("timeout", [0.0, float("nan")])
+    def test_unchecked_timeout_that_meant_none(self, store, timeout):
+        """Before timeouts were checked, a stored 0 or NaN meant no
+        timeout; it still does."""
+        config = CampaignConfig(circuits=["tseng"], algorithms=["rt"])
+        store.set_meta("config", {**config.to_dict(), "timeout": timeout})
+        assert load_config(store).timeout is None
+
+    @pytest.mark.parametrize(
+        "key, value", [("timeout", -1.0), ("backoff", float("nan"))]
+    )
+    def test_invalid_stored_config_is_a_store_error(self, store, key, value):
+        config = CampaignConfig(circuits=["tseng"], algorithms=["rt"])
+        store.set_meta("config", {**config.to_dict(), key: value})
+        with pytest.raises(
+            CampaignStoreError, match=f"stored campaign config is invalid: {key}"
+        ):
+            load_config(store)

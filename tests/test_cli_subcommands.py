@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from repro import api
 from repro.bench.runner import main as runner_main
 from repro.cli import (
     EXIT_MISSING,
@@ -171,6 +172,26 @@ class TestUsage:
         assert exc.value.code == EXIT_USAGE
         assert "unrecognized arguments: --batch-sinks 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["route", "--circuit", "tseng"], ["--start-width", "3"]),
+            (["bench", "table1", "--circuits", "tseng"],
+             ["--run-dir", "{tmp}/bench"]),
+        ],
+        ids=["route-start-width", "bench-run-dir"],
+    )
+    def test_wmin_hint_flags_are_gone(self, argv, flag, capsys, tmp_path):
+        """W_min is computed, never remembered: no flag passes a width
+        hint or names a directory to cache widths in."""
+        flag = [arg.format(tmp=tmp_path) for arg in flag]
+        with pytest.raises(SystemExit) as exc:
+            cli_main([*argv, *flag])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["serve", "submit", "jobs"])
     def test_service_commands_are_gone(self, command, capsys):
         """No service subcommand, and no package module by its name."""
@@ -196,7 +217,7 @@ class TestOutOfRangeNumbers:
             (cli_main, ["campaign", "run", "{tmp}/camp",
                         "--circuits", "tseng", "--algorithms", "rt"]),
             (runner_main, ["table1", "--circuits", "tseng",
-                           "--run-dir", "{tmp}/bench"]),
+                           "--netlist-store", "{tmp}/nl.sqlite"]),
         ],
         ids=["run", "route", "netlist-build", "campaign-run", "bench-runner"],
     )
@@ -223,7 +244,7 @@ class TestOutOfRangeNumbers:
                         "--circuits", "tseng", "--algorithms", "rt"],
              "--effort"),
             (runner_main, ["table2", "--circuits", "tseng",
-                           "--run-dir", "{tmp}/bench"], "--effort"),
+                           "--netlist-store", "{tmp}/nl.sqlite"], "--effort"),
         ],
         ids=["run-effort", "run-place-effort", "route-place-effort",
              "campaign-run-effort", "bench-runner-effort"],
@@ -237,6 +258,33 @@ class TestOutOfRangeNumbers:
         assert exc.value.code == EXIT_USAGE
         err = capsys.readouterr().err
         assert "usage:" in err and flag in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--timeout", "-1"), ("--timeout", "0"), ("--timeout", "nan"),
+         ("--timeout", "inf"), ("--backoff", "-1"), ("--backoff", "nan"),
+         ("--backoff", "inf")],
+    )
+    def test_campaign_timeout_and_backoff_must_be_finite(
+        self, flag, value, capsys, tmp_path
+    ):
+        """A NaN or infinite backoff used to wait forever before a
+        retry, a negative timeout killed every task, and a zero or NaN
+        timeout meant none."""
+        code = cli_main(["campaign", "run", str(tmp_path / "camp"),
+                         "--circuits", "tseng", "--algorithms", "rt",
+                         flag, value])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro campaign run: {flag[2:]} must be ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_campaign_api_rejects_a_negative_timeout(self, tmp_path):
+        with pytest.raises(ValueError, match="timeout must be"):
+            api.campaign_run(tmp_path / "camp", circuits="tseng",
+                             algorithms="rt", timeout=-1.0)
         assert list(tmp_path.iterdir()) == []
 
     def test_zero_effort_is_accepted(self):
