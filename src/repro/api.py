@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.arch.fpga import FpgaArch
@@ -179,41 +179,15 @@ def load_design(
     blif: str | Path | None = None,
     scale: float = 0.08,
     lut_size: int = 4,
-    netlist_store: str | Path | None = None,
 ) -> Design:
     """Load a design from a suite circuit name or a BLIF file.
 
     Exactly one of ``circuit``/``blif`` must be given.  The architecture
     is the paper's protocol: the minimum square FPGA that fits the logic
     and the perimeter pads.
-
-    With ``netlist_store`` the design comes from (and is cached in) a
-    :class:`~repro.netlist.store.NetlistStore` database: suite circuits
-    are streamed in on first use without building the object form, BLIF
-    files are imported once.  The loaded netlist is identical either way
-    (iteration orders and ids included), so downstream results don't
-    change.
     """
     if (circuit is None) == (blif is None):
         raise ValueError("give exactly one of circuit= or blif=")
-    if netlist_store is not None:
-        from repro.netlist.store import NetlistStore
-
-        store = NetlistStore(netlist_store)
-        if blif is not None:
-            path = Path(blif)
-            key = f"blif:{path.stem}"
-            if not store.has_design(key):
-                imported = read_blif(path.read_text())
-                store.save_design(key, imported, lut_size=lut_size)
-        else:
-            from repro.bench.suite import ensure_suite_design
-
-            key = ensure_suite_design(store, circuit, scale, lut_size=lut_size)
-        netlist = store.load_array(key).to_netlist()
-        arch = store.min_square_arch(key)
-        validate_netlist(netlist)
-        return Design(netlist=netlist, arch=arch, source=f"store:{key}")
     if blif is not None:
         path = Path(blif)
         netlist = read_blif(path.read_text())
@@ -429,7 +403,6 @@ def campaign_run(
     perf: bool = False,
     trace: bool = False,
     faults: dict[str, int] | None = None,
-    netlist_store: str | Path | None = None,
     echo=None,
 ):
     """Start a new campaign: build the task matrix and execute it.
@@ -441,12 +414,13 @@ def campaign_run(
     :func:`campaign_resume`.  Returns a
     :class:`repro.campaign.CampaignSummary`.
 
-    With ``netlist_store`` the scheduler streams every design into the
-    shared store up front and workers open it read-only: task payloads
-    shrink to a path plus parameters instead of a pickled netlist (the
-    per-task payload bytes and worker peak RSS are recorded in the
-    campaign store's ``task_stats`` table).  Reports are byte-identical
-    either way.
+    The scheduler streams every design into
+    ``campaign_dir/netlists.sqlite`` up front and workers open it
+    read-only: task payloads and result rows carry store keys, never a
+    serialized netlist (the per-task payload bytes and worker peak RSS
+    are recorded in the campaign store's ``task_stats`` table).
+    Invalid settings (``jobs`` < 1, a ``timeout`` that is not finite
+    and > 0, ...) raise :class:`ValueError` before anything is written.
     """
     from repro.bench.suite import resolve_names
     from repro.campaign import (
@@ -473,7 +447,6 @@ def campaign_run(
         perf=perf,
         trace=trace,
         faults=dict(faults or {}),
-        netlist_store=None if netlist_store is None else str(netlist_store),
     )
     store = CampaignStore.in_dir(campaign_dir)
     if store.task_rows():
@@ -491,7 +464,10 @@ def campaign_resume(campaign_dir: str | Path, *, jobs: int | None = None, echo=N
 
     Completed tasks are never re-executed — their rows are reused
     as-is.  ``jobs`` optionally overrides the stored worker count
-    (results are identical either way).
+    (results are identical either way); below 1 it raises
+    :class:`ValueError` before any task row changes, as a missing
+    netlist store named by the stored config raises
+    :class:`~repro.campaign.store.CampaignStoreError`.
     """
     from repro.campaign import CampaignScheduler, CampaignStore
     from repro.campaign.report import load_config
@@ -499,9 +475,10 @@ def campaign_resume(campaign_dir: str | Path, *, jobs: int | None = None, echo=N
     store = CampaignStore.open_existing(campaign_dir)
     config = load_config(store)
     if jobs is not None:
-        config.jobs = jobs
+        config = replace(config, jobs=jobs)
+    scheduler = CampaignScheduler(store, config, echo=echo)
     store.reset_incomplete()
-    return CampaignScheduler(store, config, echo=echo).run()
+    return scheduler.run()
 
 
 def campaign_status(campaign_dir: str | Path) -> str:

@@ -34,9 +34,7 @@ from repro.core.checkpoint import (
     arch_from_dict,
     arch_to_dict,
     netlist_from_dict,
-    netlist_to_dict,
     placement_from_dict,
-    placement_to_dict,
     record_from_dict,
     record_to_dict,
 )
@@ -76,24 +74,17 @@ class BaselineRun:
     density: float
     place_route_seconds: float
 
-    def to_dict(self, store_refs: tuple[str, str] | None = None) -> dict:
-        """JSON-ready round-trip payload (exact: ids and dict orders).
+    def to_dict(self, netlist_ref: str, placement_ref: str) -> dict:
+        """JSON-ready round-trip payload: scalars plus store keys.
 
-        Uses the id-preserving checkpoint serializers for the netlist
-        and placement, so a :func:`run_variant` on the reconstructed
-        baseline is bit-identical to one on the original — that is what
-        lets campaign variant tasks run in a different process than
-        their baseline.
-
-        ``store_refs=(design_key, placement_key)`` is the zero-copy
-        variant: the netlist and placement are referenced by their keys
-        in a shared :class:`~repro.netlist.store.NetlistStore` instead
-        of being embedded, shrinking a campaign result row from the full
-        serialized design to a few scalars.  The arch stays inline — the
-        report tables print ``str(run.arch)``, and scalars must suffice
-        to render a report without opening the netlist store.
+        The netlist and placement live in the campaign's
+        :class:`~repro.netlist.store.NetlistStore`, under
+        ``netlist_ref`` and ``placement_ref``; the row carries only
+        their keys.  The arch stays inline — the report tables print
+        ``str(run.arch)``, and scalars must suffice to render a report
+        without opening the netlist store.
         """
-        data = {
+        return {
             "name": self.name,
             "arch": arch_to_dict(self.arch),
             "w_inf": self.w_inf,
@@ -105,34 +96,32 @@ class BaselineRun:
             "total_blocks": self.total_blocks,
             "density": self.density,
             "place_route_seconds": self.place_route_seconds,
+            "netlist_ref": netlist_ref,
+            "placement_ref": placement_ref,
         }
-        if store_refs is None:
-            data["netlist"] = netlist_to_dict(self.netlist)
-            data["placement"] = placement_to_dict(self.placement)
-        else:
-            data["netlist_ref"], data["placement_ref"] = store_refs
-        return data
 
     @classmethod
     def from_dict(cls, data: dict, store=None) -> "BaselineRun":
         """Rebuild from :meth:`to_dict` output.
 
-        For a store-ref payload, pass the shared ``NetlistStore`` to
-        load the full netlist+placement (what a variant worker needs);
-        without it the run comes back scalars-only (netlist/placement
-        ``None``), which is all report rendering requires.
+        Pass the campaign's ``NetlistStore`` to load the netlist and
+        placement (what a variant worker needs); without it the run
+        comes back scalars-only (netlist/placement ``None``), which is
+        all report rendering requires.  Rows stored before every
+        campaign had a netlist store carry the netlist and placement
+        inline, in the id-preserving checkpoint format; they are read
+        as they are.
         """
         arch = arch_from_dict(data["arch"])
-        if "netlist_ref" in data:
-            if store is not None:
-                netlist = store.load_netlist(data["netlist_ref"])
-                placement = store.load_placement(data["placement_ref"], arch=arch)
-            else:
-                netlist = None
-                placement = None
-        else:
+        if "netlist_ref" not in data:
             netlist = netlist_from_dict(data["netlist"])
             placement = placement_from_dict(data["placement"], arch)
+        elif store is not None:
+            netlist = store.load_netlist(data["netlist_ref"])
+            placement = store.load_placement(data["placement_ref"], arch=arch)
+        else:
+            netlist = None
+            placement = None
         return cls(
             name=data["name"],
             netlist=netlist,
@@ -201,27 +190,34 @@ def run_vpr_baseline(
     scale: float = 0.08,
     seed: int = 0,
     inner_scale: float = 0.25,
-    netlist_store: str | None = None,
 ) -> BaselineRun:
-    """Generate, place (timing-driven SA) and route one suite circuit.
+    """Generate one suite circuit, then place and route it (Table I).
 
-    ``netlist_store`` loads the circuit from (streaming it into, on
-    first use) a :class:`~repro.netlist.store.NetlistStore` as a
-    read-only array netlist — the baseline flow never mutates the
-    netlist, so placement and routing run on the flat vectors directly.
-    All measured numbers are identical to the in-memory path.
+    ``place_route_seconds`` counts the generation too.
     """
     start = time.perf_counter()
-    if netlist_store is not None:
-        from repro.bench.suite import ensure_suite_design
-        from repro.netlist.store import NetlistStore
+    netlist, arch = suite_circuit(name, scale=scale)
+    generated = time.perf_counter() - start
+    run = measure_baseline(name, netlist, arch, seed=seed, inner_scale=inner_scale)
+    run.place_route_seconds += generated
+    return run
 
-        nl_store = NetlistStore(netlist_store)
-        key = ensure_suite_design(nl_store, name, scale)
-        netlist = nl_store.load_array(key)
-        arch = nl_store.min_square_arch(key)
-    else:
-        netlist, arch = suite_circuit(name, scale=scale)
+
+def measure_baseline(
+    name: str,
+    netlist: Netlist,
+    arch: FpgaArch,
+    seed: int = 0,
+    inner_scale: float = 0.25,
+) -> BaselineRun:
+    """Place (timing-driven SA), route and measure a loaded design.
+
+    The baseline flow never mutates ``netlist``, so it may be the
+    read-only :class:`~repro.netlist.arrays.ArrayNetlist` a campaign
+    loads from its netlist store; every measured number is the same as
+    on the object netlist.
+    """
+    start = time.perf_counter()
     placement, _stats = place_timing_driven(
         netlist, arch, seed=seed, inner_scale=inner_scale
     )
@@ -375,14 +371,6 @@ def main(argv: list[str] | None = None) -> int:
         help=f"CSV of {ALGORITHMS} (table2/table3)",
     )
     parser.add_argument(
-        "--netlist-store",
-        default=None,
-        metavar="PATH",
-        help="load circuits from (building into, on first use) this "
-        "netlist store database instead of generating them in memory "
-        "(identical results)",
-    )
-    parser.add_argument(
         "--perf-json",
         default=None,
         metavar="PATH",
@@ -405,12 +393,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--circuits: {exc}")
 
     def make_baseline(name: str) -> BaselineRun:
-        return run_vpr_baseline(
-            name,
-            scale=args.scale,
-            seed=args.seed,
-            netlist_store=args.netlist_store,
-        )
+        return run_vpr_baseline(name, scale=args.scale, seed=args.seed)
 
     if args.experiment == "table1":
         baselines = [make_baseline(name) for name in names]

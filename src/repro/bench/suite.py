@@ -99,8 +99,8 @@ def suite_circuit(
     return netlist, arch
 
 
-def stream_suite_circuit(store, name: str, scale: float = 1.0, lut_size: int = 4) -> dict:
-    """Stream one suite circuit straight into a netlist store.
+def stream_suite_circuit(store, name: str, scale: float = 1.0) -> dict:
+    """Stream one 4-LUT suite circuit straight into a netlist store.
 
     The circuit never exists as Python objects: the generator writes
     cells/nets/pins through a
@@ -113,18 +113,18 @@ def stream_suite_circuit(store, name: str, scale: float = 1.0, lut_size: int = 4
 
     spec = SPEC_BY_NAME[name]
     key = design_key(name, scale)
-    with store.stream_builder(key, spec.name, lut_size) as builder:
-        generate_into(builder, spec, scale=scale, lut_size=lut_size)
+    with store.stream_builder(key, spec.name) as builder:
+        generate_into(builder, spec, scale=scale)
     return store.design_info(key)
 
 
-def ensure_suite_design(store, name: str, scale: float, lut_size: int = 4) -> str:
+def ensure_suite_design(store, name: str, scale: float) -> str:
     """Make sure ``store`` holds the suite circuit; return its design key."""
     from repro.netlist.store import design_key
 
     key = design_key(name, scale)
     if not store.has_design(key):
-        stream_suite_circuit(store, name, scale=scale, lut_size=lut_size)
+        stream_suite_circuit(store, name, scale=scale)
     return key
 
 

@@ -83,18 +83,21 @@ class CampaignConfig:
     under exactly the configuration ``run`` started with (``jobs`` may
     be overridden at resume time — it never changes results).
 
-    ``retries`` counts *re-runs after the first failure*, so a task is
-    attempted at most ``retries + 1`` times per campaign invocation.
-    ``timeout`` (seconds, ``None`` for none) must be finite and > 0,
-    ``backoff`` finite and >= 0.  ``faults`` is the test-facing fault-injection hook: task id → number
-    of injected failures; a negative count makes the task hang instead
-    of raise (exercising the timeout path).
+    ``jobs`` (worker processes) must be >= 1.  ``retries`` counts
+    *re-runs after the first failure*, so a task is attempted at most
+    ``retries + 1`` times per campaign invocation.  ``timeout``
+    (seconds, ``None`` for none) must be finite and > 0, ``backoff``
+    finite and >= 0.  ``faults`` is the test-facing fault-injection
+    hook: task id → number of injected failures; a negative count makes
+    the task hang instead of raise (exercising the timeout path).
 
-    ``netlist_store`` is the zero-copy worker mode: a path to a shared
-    :mod:`repro.netlist.store` database.  The scheduler streams every
-    design into it before launching workers; workers open it read-only
-    and task payloads carry the path instead of pickled netlists.
-    Results and reports are byte-identical either way.
+    Every campaign keeps its designs in a :mod:`repro.netlist.store`
+    database, ``netlists.sqlite`` next to ``campaign.sqlite``: the
+    scheduler streams every design into it before launching workers,
+    workers open it read-only, and task payloads carry store keys
+    instead of serialized netlists.  ``netlist_store`` is set only in
+    configs stored by campaigns that ran with an external store; such a
+    campaign keeps reading and writing that store.
     """
 
     circuits: list[str]
@@ -124,6 +127,8 @@ class CampaignConfig:
             raise ValueError("campaign needs at least one circuit")
         if not self.seeds:
             raise ValueError("campaign needs at least one seed")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
         if self.timeout is not None and not (
@@ -149,6 +154,9 @@ class CampaignConfig:
         if timeout is not None and (timeout == 0 or math.isnan(timeout)):
             # Stored before timeouts were checked: both meant no timeout.
             data["timeout"] = None
+        if data.get("jobs", 1) < 1:
+            # Stored before worker counts were checked: it ran one worker.
+            data["jobs"] = 1
         return cls(**data)
 
     @property

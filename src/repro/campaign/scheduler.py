@@ -38,7 +38,12 @@ from multiprocessing.connection import wait as _conn_wait
 from pathlib import Path
 
 from repro.campaign.model import CampaignConfig, Task, artifact_name
-from repro.campaign.store import CampaignStore
+from repro.campaign.store import CampaignStore, CampaignStoreError
+from repro.netlist.store import (
+    STORE_FILE as NETLIST_STORE_FILE,
+    NetlistStore,
+    design_key,
+)
 
 #: Injected-fault codes carried in worker payloads.
 _FAULT_NONE, _FAULT_RAISE, _FAULT_HANG = 0, 1, -1
@@ -57,8 +62,9 @@ def execute_task(payload: dict) -> dict:
     """Run one task described by a scheduler payload; returns result dict.
 
     Importable directly (tests, debugging): everything the task needs is
-    in the payload — the task row, the execution knobs and, for
-    variants, the serialized baseline.
+    in the payload — the task row, the execution knobs, the path of the
+    campaign's netlist store and, for variants, the baseline's result
+    row.
     """
     task = payload["task"]
     inject = payload.get("inject", _FAULT_NONE)
@@ -70,13 +76,13 @@ def execute_task(payload: dict) -> dict:
             f"(attempt {payload.get('attempt', 1)})"
         )
 
-    from repro.bench.runner import BaselineRun, run_variant, run_vpr_baseline
+    from repro.bench.runner import BaselineRun, measure_baseline, run_variant
     from repro.perf import PERF, sample_peak_rss
 
     perf_on = payload.get("perf", False)
     trace_on = payload.get("trace", False)
     campaign_dir = payload.get("campaign_dir")
-    store_path = payload.get("netlist_store")
+    nl_store = NetlistStore(payload["netlist_store"])
     if perf_on:
         PERF.reset()
         PERF.enable()
@@ -86,36 +92,19 @@ def execute_task(payload: dict) -> dict:
         start_tracing()
     try:
         if task["kind"] == "baseline":
-            run = run_vpr_baseline(
-                task["circuit"],
-                scale=task["scale"],
-                seed=task["seed"],
-                netlist_store=store_path,
-            )
-            if store_path is None:
-                return run.to_dict()
-            # Zero-copy mode: the design is already in the shared store;
-            # park the placement next to it and return scalars + refs so
-            # the campaign row (and the variant payloads built from it)
-            # never carry a serialized netlist.
-            from repro.netlist.store import NetlistStore, design_key
-
-            nl_store = NetlistStore(store_path)
             dkey = design_key(task["circuit"], task["scale"])
+            run = measure_baseline(
+                task["circuit"],
+                nl_store.load_array(dkey),
+                nl_store.min_square_arch(dkey),
+                seed=task["seed"],
+            )
+            # Park the placement next to the design, so the result row
+            # (and the variant payloads built from it) carry keys, never
+            # a serialized netlist.
             nl_store.save_placement(task["task_id"], run.placement, design_key=dkey)
-            return run.to_dict(store_refs=(dkey, task["task_id"]))
-        baseline_data = payload["baseline"]
-        nl_store = None
-        if "netlist_ref" in baseline_data:
-            from repro.netlist.store import NetlistStore
-
-            if store_path is None:
-                raise RuntimeError(
-                    f"baseline of {task['task_id']} references a netlist "
-                    f"store but the campaign has none configured"
-                )
-            nl_store = NetlistStore(store_path)
-        baseline = BaselineRun.from_dict(baseline_data, store=nl_store)
+            return run.to_dict(dkey, task["task_id"])
+        baseline = BaselineRun.from_dict(payload["baseline"], store=nl_store)
         run = run_variant(
             baseline,
             task["algorithm"],
@@ -219,6 +208,19 @@ class CampaignScheduler:
         self.store = store
         self.config = config
         self.campaign_dir = store.path.parent
+        # Campaigns that ran with an external store keep reading it.  Its
+        # path may be relative to the directory the campaign ran in, and
+        # an empty store elsewhere would fail every task on a done
+        # baseline, so a missing one is an error.
+        self.netlist_store = Path(
+            config.netlist_store or self.campaign_dir / NETLIST_STORE_FILE
+        )
+        if config.netlist_store and not self.netlist_store.exists():
+            raise CampaignStoreError(
+                f"the campaign's netlist store {config.netlist_store} does "
+                f"not exist (a relative path is read from the working "
+                f"directory)"
+            )
         self.fault_hook = fault_hook
         self.echo = echo or (lambda message: None)
         self._ctx = mp_context or multiprocessing.get_context()
@@ -280,20 +282,16 @@ class CampaignScheduler:
         return self._summarize(time.monotonic() - start)
 
     def _prebuild_designs(self, tasks: list[Task]) -> None:
-        """Zero-copy mode: stream every design into the shared store.
+        """Stream every design of the matrix into the netlist store.
 
         Runs in the parent before any worker launches, so workers only
-        ever *read* the netlist store (the single-writer moment is here,
-        not under worker concurrency).  Designs already present — a
-        resumed campaign, or a store built beforehand with ``repro
-        netlist build`` — are kept as-is.
+        ever *read* designs (the single-writer moment is here, not under
+        worker concurrency).  Designs already present — a resumed
+        campaign — are kept as-is.
         """
-        if self.config.netlist_store is None:
-            return
         from repro.bench.suite import ensure_suite_design
-        from repro.netlist.store import NetlistStore
 
-        nl_store = NetlistStore(self.config.netlist_store)
+        nl_store = NetlistStore(self.netlist_store)
         seen: set[tuple[str, float]] = set()
         for task in tasks:
             coords = (task.circuit, task.scale)
@@ -320,7 +318,7 @@ class CampaignScheduler:
     def _launch_ready(self) -> int:
         launched = 0
         for task_id in list(self._queue):
-            if len(self._running) >= max(1, self.config.jobs):
+            if len(self._running) >= self.config.jobs:
                 break
             task = self._by_id[task_id]
             dep_status = [self._status[dep] for dep in task.deps]
@@ -381,7 +379,7 @@ class CampaignScheduler:
             "perf": config.perf,
             "trace": config.trace,
             "campaign_dir": str(self.campaign_dir),
-            "netlist_store": config.netlist_store,
+            "netlist_store": str(self.netlist_store),
             "inject": self._fault_code(task.task_id, attempt),
         }
         if task.kind == "variant":

@@ -8,7 +8,7 @@ Subcommands::
     repro resume     continue a checkpointed run directory
     repro trace-view summarize a Chrome trace produced by --trace
     repro campaign   durable experiment matrix (run/resume/status/report)
-    repro netlist    build or inspect a shared netlist store
+    repro netlist    inspect a netlist store (e.g. a campaign's)
 
 Examples::
 
@@ -88,11 +88,6 @@ def _add_input_arguments(parser: argparse.ArgumentParser) -> None:
                         dest="place_effort", help="annealer inner_num scale")
     parser.add_argument("--in-placement", type=Path,
                         help="start from a saved placement instead of SA")
-    parser.add_argument("--netlist-store", type=Path, default=None,
-                        dest="netlist_store", metavar="DB",
-                        help="load the design from (building into, on first "
-                        "use) this netlist store database; results are "
-                        "byte-identical with and without it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,10 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="per-task perf snapshots into DIR/perf/")
     crun.add_argument("--trace", action="store_true",
                       help="per-task Chrome traces into DIR/trace/")
-    crun.add_argument("--netlist-store", type=Path, default=None,
-                      dest="netlist_store", metavar="DB",
-                      help="share one read-only netlist store across workers "
-                      "instead of pickling netlists into task payloads")
     crun.add_argument("--inject-fault", action="append", default=[],
                       dest="inject_fault", metavar="TASK=N",
                       help="testing hook: fail TASK's first N attempts "
@@ -224,26 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     creport.set_defaults(func=cmd_campaign_report)
 
     netlist = sub.add_parser(
-        "netlist",
-        help="netlist store maintenance (build a design, inspect a store)",
+        "netlist", help="netlist store inspection (e.g. DIR/netlists.sqlite)"
     )
     nl_sub = netlist.add_subparsers(dest="netlist_command", required=True)
-
-    nbuild = nl_sub.add_parser(
-        "build", help="(re)build one design into a netlist store"
-    )
-    nbuild.add_argument("store", type=Path, help="store database path")
-    nsource = nbuild.add_mutually_exclusive_group(required=True)
-    nsource.add_argument("--blif", type=Path, help="input BLIF netlist")
-    nsource.add_argument(
-        "--circuit",
-        choices=sorted(SPEC_BY_NAME),
-        help="stream an MCNC-calibrated suite circuit into the store",
-    )
-    nbuild.add_argument("--scale", type=positive_scale, default=0.08,
-                        help="suite-circuit scale (with --circuit)")
-    nbuild.add_argument("--lut-size", type=int, default=4, dest="lut_size")
-    nbuild.set_defaults(func=cmd_netlist_build)
 
     ninfo = nl_sub.add_parser(
         "info", help="print store size, schema version and design counts"
@@ -260,17 +234,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_and_place(args) -> tuple[api.Design, api.PlaceResult]:
-    store = args.netlist_store
     if args.blif is not None and not args.blif.exists():
         raise CliError(f"no BLIF file at {args.blif}", EXIT_MISSING)
     if args.blif is not None:
-        design = api.load_design(blif=args.blif, netlist_store=store)
+        design = api.load_design(blif=args.blif)
         print(f"read {args.blif}: {design.netlist.num_logic_blocks} logic "
               f"blocks, {design.netlist.num_pads} pads -> {design.arch} FPGA")
     else:
-        design = api.load_design(
-            circuit=args.circuit, scale=args.scale, netlist_store=store
-        )
+        design = api.load_design(circuit=args.circuit, scale=args.scale)
         print(f"generated {args.circuit} @ scale {args.scale:g}: "
               f"{design.netlist.num_logic_blocks} logic blocks on {design.arch}")
 
@@ -443,42 +414,8 @@ def cmd_trace_view(args) -> int:
 
 
 # ----------------------------------------------------------------------
-# Netlist store subcommands
+# Netlist store inspection
 # ----------------------------------------------------------------------
-
-
-def cmd_netlist_build(args) -> int:
-    from repro.netlist.store import NetlistStore, NetlistStoreError
-
-    if args.blif is not None and not args.blif.exists():
-        raise CliError(f"no BLIF file at {args.blif}", EXIT_MISSING)
-    if args.blif is not None:
-        from repro.netlist.blif import read_blif
-
-        # Parse before the store exists, so a bad BLIF leaves no file.
-        netlist = read_blif(args.blif.read_text())
-    store = NetlistStore(args.store)
-    try:
-        if args.blif is not None:
-            key = f"blif:{args.blif.stem}"
-            store.save_design(key, netlist, lut_size=args.lut_size)
-        else:
-            from repro.bench.suite import stream_suite_circuit
-            from repro.netlist.store import design_key
-
-            key = design_key(args.circuit, args.scale)
-            stream_suite_circuit(
-                store, args.circuit, scale=args.scale, lut_size=args.lut_size
-            )
-    except (OSError, NetlistStoreError) as exc:
-        raise CliError(str(exc)) from None
-    info = store.design_info(key)
-    print(
-        f"built {key} in {args.store}: {info['cells']} cells, "
-        f"{info['nets']} nets, {info['pins']} pins "
-        f"({info['luts']} LUTs, {info['ffs']} FFs, {info['pads']} pads)"
-    )
-    return 0
 
 
 def cmd_netlist_info(args) -> int:
@@ -549,7 +486,6 @@ def cmd_campaign_run(args) -> int:
             backoff=args.backoff,
             perf=args.perf,
             trace=args.trace,
-            netlist_store=args.netlist_store,
             faults=faults,
             echo=print,
         )
@@ -568,7 +504,7 @@ def cmd_campaign_resume(args) -> int:
         )
     except CampaignStoreMissing as exc:
         raise CliError(str(exc), EXIT_MISSING) from None
-    except CampaignStoreError as exc:
+    except (CampaignStoreError, ValueError) as exc:
         raise CliError(str(exc), EXIT_USAGE) from None
     return _print_campaign_summary(summary)
 

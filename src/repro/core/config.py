@@ -10,12 +10,14 @@ Two layers:
   shared by the CLI, the :mod:`repro.api` facade and the benchmark
   runner so the flag surface cannot drift between them again.
 
-Both run in the caller's process; the only process parallelism is a
-campaign's ``--jobs``.  Checkpoints written while the flow had knobs
-that never changed a result (a worker count, an unused seed) still
-resume: :meth:`ReplicationConfig.from_dict` drops exactly those retired
-keys, and ``batch_sinks`` when it names the one-sink loop this version
-runs.
+Both run in the caller's process, on a design generated (or read from
+BLIF) in memory; the only process parallelism is a campaign's
+``--jobs``, and only a campaign keeps its designs in a netlist store
+(:mod:`repro.campaign.model`).  Checkpoints written while the flow had
+knobs that never changed a result (a worker count, an unused seed)
+still resume: :meth:`ReplicationConfig.from_dict` drops exactly those
+retired keys, and ``batch_sinks`` when it names the one-sink loop this
+version runs.
 """
 
 from __future__ import annotations
@@ -168,12 +170,6 @@ class RunConfig:
         route: Run low-stress + infinite routing at the end.
         checkpoint_every: Checkpoint the flow every N iterations
             (0 = disabled; needs a run directory).
-        netlist_store: Path of a :mod:`repro.netlist.store` database to
-            load the design from (building/caching it there on first
-            use) instead of generating it in memory.  Results are
-            byte-identical either way; the store is purely an execution
-            knob, which is why it lives here and not in
-            :class:`ReplicationConfig` (whose hash keys checkpoints).
     """
 
     circuit: str | None = None
@@ -185,7 +181,6 @@ class RunConfig:
     effort: float = 1.0
     route: bool = False
     checkpoint_every: int = 0
-    netlist_store: str | None = None
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
@@ -199,8 +194,6 @@ class RunConfig:
             kwargs[spec.name] = value
         if kwargs["blif"] is not None:
             kwargs["blif"] = str(kwargs["blif"])
-        if kwargs["netlist_store"] is not None:
-            kwargs["netlist_store"] = str(kwargs["netlist_store"])
         return cls(**kwargs)
 
     def to_dict(self) -> dict:

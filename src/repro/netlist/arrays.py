@@ -468,19 +468,6 @@ class ArrayNetlist:
         """A mutable deep copy (the object form) preserving all ids."""
         return self.to_netlist()
 
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_listeners"] = []
-        # The mapping views hold a back-reference; rebuild on unpickle.
-        state.pop("cells", None)
-        state.pop("nets", None)
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self.cells = _CellMap(self)
-        self.nets = _NetMap(self)
-
     def __iter__(self) -> Iterator[Cell]:
         return iter(self.cells.values())
 

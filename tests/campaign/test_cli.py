@@ -51,8 +51,6 @@ class TestCampaignCli:
             (["campaign", "report", nowhere], "no campaign store"),
             (["campaign", "resume", nowhere], "no campaign store"),
             (["netlist", "info", nowhere], "no store"),
-            (["netlist", "build", nowhere, "--blif",
-              str(tmp_path / "missing.blif")], "no BLIF file"),
         ):
             assert cli_main(argv) == EXIT_MISSING, argv
             err = capsys.readouterr().err

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.bench.suite import ensure_suite_design
 from repro.campaign.model import CampaignConfig, build_matrix
 from repro.campaign.scheduler import CampaignScheduler, execute_task
 from repro.campaign.store import CampaignStore
+from repro.netlist.store import NetlistStore
 
 SCALE = 0.02  # smallest suite scale: baselines run in well under a second
 
@@ -106,10 +108,17 @@ class TestExecuteTask:
         tasks = build_matrix(
             CampaignConfig(circuits=["tseng"], algorithms=["rt"], scale=SCALE)
         )
-        baseline = execute_task({"task": tasks[0].to_row()})
+        # The scheduler streams the design in before any worker runs.
+        store = tmp_path / "netlists.sqlite"
+        ensure_suite_design(NetlistStore(store), "tseng", SCALE)
+        baseline = execute_task(
+            {"task": tasks[0].to_row(), "netlist_store": str(store)}
+        )
         assert baseline["name"] == "tseng" and baseline["min_width"] >= 1
+        assert baseline["netlist_ref"] == f"tseng@{SCALE:g}"
         variant = execute_task(
-            {"task": tasks[1].to_row(), "baseline": baseline, "effort": 0.2}
+            {"task": tasks[1].to_row(), "baseline": baseline, "effort": 0.2,
+             "netlist_store": str(store)}
         )
         assert variant["algorithm"] == "rt"
         assert variant["w_inf"] > 0 and variant["blocks"] >= 1.0

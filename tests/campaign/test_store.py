@@ -5,9 +5,12 @@ import sqlite3
 import pytest
 
 from repro import api
+from repro.bench.runner import run_vpr_baseline
 from repro.campaign.model import CampaignConfig, build_matrix
 from repro.campaign.report import load_config
 from repro.campaign.store import CampaignStore, CampaignStoreError
+from repro.netlist.store import NetlistStore
+from tests.bench.test_roundtrip import inline_row
 
 
 @pytest.fixture
@@ -86,7 +89,92 @@ class TestTaskLifecycle:
         assert row["total_attempts"] == 2
 
 
+#: The matrix every old-store test resumes: one baseline, one variant.
+OLD_MATRIX = dict(circuits=["tseng"], algorithms=["rt"], scale=0.02, effort=0.2)
+
+
+@pytest.fixture(scope="module")
+def fresh_reports(tmp_path_factory):
+    """``table1``/``table2`` of a fresh campaign on :data:`OLD_MATRIX`."""
+    camp = tmp_path_factory.mktemp("fresh") / "camp"
+    assert api.campaign_run(camp, **OLD_MATRIX).ok
+    return {
+        experiment: api.campaign_report(camp, experiment)
+        for experiment in ("table1", "table2")
+    }
+
+
 class TestOldStores:
+    def test_in_memory_layout_resumes(self, tmp_path, fresh_reports):
+        """Before every campaign had a netlist store, a campaign could
+        run without one: its done baseline row holds the netlist and
+        placement inline.  Its pending variant runs from that row."""
+        config = CampaignConfig(**OLD_MATRIX)
+        tasks = build_matrix(config)
+        store = CampaignStore.in_dir(tmp_path / "camp")
+        store.set_meta("config", config.to_dict())
+        store.add_tasks(tasks)
+        baseline = run_vpr_baseline("tseng", scale=0.02, seed=0)
+        store.mark_done(tasks[0].task_id, inline_row(baseline), 1.0)
+
+        summary = api.campaign_resume(tmp_path / "camp")
+        assert summary.ok and summary.done == 2
+        assert "netlist" in store.result_of(tasks[0].task_id)
+        for experiment, report in fresh_reports.items():
+            assert api.campaign_report(tmp_path / "camp", experiment) == report
+
+    def test_external_netlist_store_stays_the_campaigns(
+        self, tmp_path, fresh_reports
+    ):
+        """A campaign started with ``--netlist-store PATH`` stored that
+        path in its config: it resumes from that store and never
+        creates one of its own."""
+        external = tmp_path / "external.sqlite"
+        NetlistStore(external)  # the run created it before any task
+        config = CampaignConfig(
+            **OLD_MATRIX,
+            netlist_store=str(external),
+            retries=0,
+            faults={"variant/tseng@0.02/s0/rt": 1},
+        )
+        store = CampaignStore.in_dir(tmp_path / "camp")
+        store.set_meta("config", config.to_dict())
+        store.add_tasks(build_matrix(config))
+
+        # The first resume runs the baseline and fails the variant; the
+        # second reads the done baseline's refs from the external store.
+        assert api.campaign_resume(tmp_path / "camp").done == 1
+        assert api.campaign_resume(tmp_path / "camp").ok
+        assert not (tmp_path / "camp" / "netlists.sqlite").exists()
+        assert NetlistStore(external).design_keys() == ["tseng@0.02"]
+        for experiment, report in fresh_reports.items():
+            assert api.campaign_report(tmp_path / "camp", experiment) == report
+
+    def test_missing_external_netlist_store_is_an_error(
+        self, tmp_path, monkeypatch
+    ):
+        """A relative ``--netlist-store`` path names a file in the
+        directory the campaign ran in; a resume elsewhere refuses to
+        start an empty store there, and changes no task row."""
+        config = CampaignConfig(**OLD_MATRIX, netlist_store="netlists.sqlite")
+        store = CampaignStore.in_dir(tmp_path / "camp")
+        store.set_meta("config", config.to_dict())
+        store.add_tasks(build_matrix(config))
+        store.mark_failed("baseline/tseng@0.02/s0", "boom")
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(CampaignStoreError, match="netlists.sqlite does not"):
+            api.campaign_resume(tmp_path / "camp")
+        assert store.status_of("baseline/tseng@0.02/s0") == "failed"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["camp"]
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_unchecked_jobs_ran_one_worker(self, store, jobs):
+        """Before worker counts were checked, a stored ``jobs`` below 1
+        ran one worker; it still reads as 1."""
+        config = CampaignConfig(circuits=["tseng"], algorithms=["rt"])
+        store.set_meta("config", {**config.to_dict(), "jobs": jobs})
+        assert load_config(store).jobs == 1
+
     def test_retired_routing_keys_resume_and_report(self, tmp_path):
         """A store written when routing still had selectable variants
         and a W∞ worker pool records ``wmin_engine``/``route_kernel``/

@@ -1,15 +1,16 @@
-"""Zero-copy campaign workers: shared netlist store instead of pickles.
+"""Every campaign keeps its designs in its own netlist store.
 
-The acceptance bar has three parts:
-
-* **Byte-identity** — a campaign run with ``netlist_store`` renders the
-  exact same report text as the in-memory run of the same matrix.
-* **Payload shrink** — variant task payloads carry a store path instead
-  of a pickled :class:`BaselineRun` (netlist + placement), so recorded
-  ``payload_bytes`` drop by an order of magnitude.
+* **Carrier** — a new campaign streams its designs into
+  ``DIR/netlists.sqlite``; baseline workers park their placements
+  there, and every baseline result row holds store keys
+  (``netlist_ref``/``placement_ref``), never a serialized netlist.
 * **Stats** — every task gets ``payload_bytes`` and ``peak_rss_mb``
   rows in the campaign store's ``task_stats`` table, surfaced by
   ``campaign status``.
+
+That a store-backed campaign reports exactly what the in-memory runner
+prints is ``tests/campaign/test_parity.py``; old stores are
+``tests/campaign/test_store.py::TestOldStores``.
 """
 
 import pytest
@@ -21,73 +22,54 @@ from repro.netlist.store import NetlistStore
 SCALE, EFFORT, SEED = 0.05, 0.2, 0
 
 
-def run_campaign(tmp_path, name, **kwargs):
+@pytest.fixture(scope="module")
+def campaign(tmp_path_factory):
+    camp = tmp_path_factory.mktemp("store-mode") / "camp"
     summary = api.campaign_run(
-        tmp_path / name,
+        camp,
         circuits=["tseng", "ex5p"],
         algorithms=["rt"],
         scale=SCALE,
         effort=EFFORT,
         jobs=2,
-        **kwargs,
     )
     assert summary.ok
-    return tmp_path / name
+    return camp
 
 
-class TestStoreModeParity:
-    def test_report_byte_identical_to_in_memory_run(self, tmp_path):
-        plain = run_campaign(tmp_path, "plain")
-        stored = run_campaign(
-            tmp_path, "stored", netlist_store=tmp_path / "netlists.sqlite"
-        )
-        for experiment in ("table1", "table2"):
-            assert api.campaign_report(stored, experiment) == (
-                api.campaign_report(plain, experiment)
-            )
-
-    def test_payload_shrinks_and_stats_recorded(self, tmp_path):
-        plain = run_campaign(tmp_path, "plain")
-        stored = run_campaign(
-            tmp_path, "stored", netlist_store=tmp_path / "netlists.sqlite"
-        )
-        plain_stats = CampaignStore.in_dir(plain).task_stats()
-        store_stats = CampaignStore.in_dir(stored).task_stats()
-        assert set(plain_stats) == set(store_stats)
-        for task_id, row in store_stats.items():
-            assert row["payload_bytes"] > 0
-            assert row["peak_rss_mb"] > 0
-        # Variant payloads carried a pickled netlist+placement before;
-        # now they carry a store path plus scalars.
-        variant_ids = [tid for tid in store_stats if tid.startswith("variant/")]
-        assert variant_ids
-        for task_id in variant_ids:
-            ratio = (
-                plain_stats[task_id]["payload_bytes"]
-                / store_stats[task_id]["payload_bytes"]
-            )
-            assert ratio >= 10, (task_id, ratio)
-        status = api.campaign_status(stored)
-        assert "task stats:" in status
-        assert "worker peak RSS" in status
-
-    def test_store_holds_designs_and_placements(self, tmp_path):
-        stored = run_campaign(
-            tmp_path, "stored", netlist_store=tmp_path / "netlists.sqlite"
-        )
-        nl_store = NetlistStore(tmp_path / "netlists.sqlite")
+class TestCampaignStore:
+    def test_store_holds_designs_and_placements(self, campaign):
+        nl_store = NetlistStore(campaign / "netlists.sqlite")
         assert sorted(nl_store.design_keys()) == [
             f"ex5p@{SCALE:g}", f"tseng@{SCALE:g}"
         ]
         # Baseline tasks parked their placements for the variants.
-        tasks = CampaignStore.in_dir(stored).tasks()
-        for task in tasks:
+        for task in CampaignStore.in_dir(campaign).tasks():
             if task.kind == "baseline":
                 placement = nl_store.load_placement(task.task_id)
                 assert placement.placed_cells()
 
-    def test_resume_in_store_mode(self, tmp_path):
-        store_path = tmp_path / "netlists.sqlite"
+    def test_baseline_rows_hold_refs(self, campaign):
+        store = CampaignStore.in_dir(campaign)
+        baselines = [t for t in store.tasks() if t.kind == "baseline"]
+        assert baselines
+        for task in baselines:
+            row = store.result_of(task.task_id)
+            assert row["netlist_ref"] == f"{task.circuit}@{SCALE:g}"
+            assert row["placement_ref"] == task.task_id
+            assert "netlist" not in row and "placement" not in row
+
+    def test_stats_recorded(self, campaign):
+        stats = CampaignStore.in_dir(campaign).task_stats()
+        assert len(stats) == 4
+        for row in stats.values():
+            assert row["payload_bytes"] > 0
+            assert row["peak_rss_mb"] > 0
+        status = api.campaign_status(campaign)
+        assert "task stats:" in status
+        assert "worker peak RSS" in status
+
+    def test_resume_reads_the_campaign_store(self, tmp_path):
         camp = tmp_path / "camp"
         summary = api.campaign_run(
             camp,
@@ -96,7 +78,6 @@ class TestStoreModeParity:
             scale=SCALE,
             effort=EFFORT,
             jobs=1,
-            netlist_store=store_path,
             faults={f"variant/tseng@{SCALE:g}/s{SEED}/rt": 1},
             retries=0,
         )
@@ -109,26 +90,27 @@ class TestStoreModeParity:
 
 @pytest.mark.slow
 class TestScaledStreaming:
-    def test_scale10_campaign_routes_through_store(self, tmp_path):
-        """A --scale 10 circuit streamed into the store feeds 4 workers."""
+    def test_scale10_design_streams_into_a_campaign_store(self, tmp_path):
+        """A --scale 10 circuit streams into a campaign's store next to
+        the designs the campaign's 3 workers route."""
         from repro.bench.suite import stream_suite_circuit
 
-        store_path = tmp_path / "netlists.sqlite"
+        camp = tmp_path / "camp"
         info = stream_suite_circuit(
-            NetlistStore(store_path), "tseng", scale=10.0
+            NetlistStore(camp / "netlists.sqlite"), "tseng", scale=10.0
         )
         # tseng is 1047 LUTs at scale 1; sweep keeps ~2/3 of 10x that.
         assert info["luts"] > 5000
         summary = api.campaign_run(
-            tmp_path / "camp",
+            camp,
             circuits=["tseng", "ex5p", "alu4"],
             algorithms=[],
             scale=SCALE,
             effort=EFFORT,
-            jobs=4,
-            netlist_store=store_path,
+            jobs=3,
         )
         assert summary.ok
-        stats = CampaignStore.in_dir(tmp_path / "camp").task_stats()
+        stats = CampaignStore.in_dir(camp).task_stats()
         assert len(stats) == 3
         assert all(row["peak_rss_mb"] > 0 for row in stats.values())
+        assert len(NetlistStore(camp / "netlists.sqlite").design_keys()) == 4

@@ -45,6 +45,12 @@ class TestLoadDesign:
         with pytest.raises(ValueError):
             api.load_design(circuit="tseng", blif=tmp_path / "x.blif")
 
+    def test_no_call_takes_a_netlist_store(self):
+        """Only a campaign keeps designs in a netlist store, always its
+        own: neither loading a design nor starting a campaign names one."""
+        for call in (api.load_design, api.campaign_run):
+            assert "netlist_store" not in inspect.signature(call).parameters
+
 
 class TestPlaceOptimizeEvaluate:
     def test_place_returns_typed_result(self, design):

@@ -8,6 +8,8 @@ import pytest
 
 from repro import api
 from repro.bench.runner import main as runner_main
+from repro.campaign.model import CampaignConfig, build_matrix
+from repro.campaign.store import CampaignStore
 from repro.cli import (
     EXIT_MISSING,
     EXIT_USAGE,
@@ -120,21 +122,16 @@ class TestErrorHandling:
         ],
         ids=["empty", "undriven-output"],
     )
-    @pytest.mark.parametrize("command", ["run", "route", "netlist build"])
+    @pytest.mark.parametrize("command", ["run", "route"])
     def test_invalid_blif_exits_2(self, capsys, tmp_path, command, text, message):
         blif = tmp_path / "bad.blif"
         blif.write_text(text)
-        store = tmp_path / "store.sqlite"
-        argv = command.split() + ["--blif", str(blif)]
-        if command == "netlist build":
-            argv.append(str(store))
-        code = cli_main(argv)
+        code = cli_main([command, "--blif", str(blif)])
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"repro {command}: ")
         assert message in err
-        assert not store.exists()
 
     def test_unknown_algorithm_exits_2(self, capsys):
         code = cli_main(["run", *RUN_FLAGS, "--algorithm", "bogus"])
@@ -192,6 +189,33 @@ class TestUsage:
         assert f"unrecognized arguments: {' '.join(flag)}" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "main, argv, error",
+        [
+            (cli_main, ["run", "--circuit", "tseng"], None),
+            (cli_main, ["route", "--circuit", "tseng"], None),
+            (cli_main, ["campaign", "run", "{tmp}/camp",
+                        "--circuits", "tseng", "--algorithms", "rt"], None),
+            (runner_main, ["table1", "--circuits", "tseng"], None),
+            (cli_main, ["netlist", "build", "{tmp}/nl.sqlite",
+                        "--circuit", "tseng"], "invalid choice: 'build'"),
+        ],
+        ids=["run", "route", "campaign-run", "bench-runner", "netlist-build"],
+    )
+    def test_netlist_store_flags_are_gone(self, main, argv, error, capsys,
+                                          tmp_path):
+        """Only a campaign keeps designs in a netlist store, always its
+        own: no flag names one, and no command builds one."""
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        if error is None:
+            argv += ["--netlist-store", str(tmp_path / "nl.sqlite")]
+            error = "unrecognized arguments: --netlist-store"
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert error in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["serve", "submit", "jobs"])
     def test_service_commands_are_gone(self, command, capsys):
         """No service subcommand, and no package module by its name."""
@@ -200,6 +224,16 @@ class TestUsage:
         assert exc.value.code == EXIT_USAGE
         assert "invalid choice" in capsys.readouterr().err
         assert importlib.util.find_spec(f"repro.{command}") is None
+
+
+def failed_campaign(camp) -> CampaignStore:
+    """A stored campaign whose baseline failed: a resume would reset it."""
+    config = CampaignConfig(circuits=["tseng"], algorithms=["rt"], scale=0.02)
+    store = CampaignStore.in_dir(camp)
+    store.set_meta("config", config.to_dict())
+    store.add_tasks(build_matrix(config))
+    store.mark_failed("baseline/tseng@0.02/s0", "boom")
+    return store
 
 
 class TestOutOfRangeNumbers:
@@ -212,14 +246,12 @@ class TestOutOfRangeNumbers:
         [
             (cli_main, ["run", "--circuit", "tseng", "--run-dir", "{tmp}/run"]),
             (cli_main, ["route", "--circuit", "tseng"]),
-            (cli_main, ["netlist", "build", "{tmp}/nl.sqlite",
-                        "--circuit", "tseng"]),
             (cli_main, ["campaign", "run", "{tmp}/camp",
                         "--circuits", "tseng", "--algorithms", "rt"]),
-            (runner_main, ["table1", "--circuits", "tseng",
-                           "--netlist-store", "{tmp}/nl.sqlite"]),
+            (runner_main, ["overhead", "--circuits", "tseng",
+                           "--perf-json", "{tmp}/perf.json"]),
         ],
-        ids=["run", "route", "netlist-build", "campaign-run", "bench-runner"],
+        ids=["run", "route", "campaign-run", "bench-runner"],
     )
     def test_scale_must_be_positive(self, main, argv, value, capsys,
                                     tmp_path):
@@ -243,8 +275,8 @@ class TestOutOfRangeNumbers:
             (cli_main, ["campaign", "run", "{tmp}/camp",
                         "--circuits", "tseng", "--algorithms", "rt"],
              "--effort"),
-            (runner_main, ["table2", "--circuits", "tseng",
-                           "--netlist-store", "{tmp}/nl.sqlite"], "--effort"),
+            (runner_main, ["overhead", "--circuits", "tseng",
+                           "--perf-json", "{tmp}/perf.json"], "--effort"),
         ],
         ids=["run-effort", "run-place-effort", "route-place-effort",
              "campaign-run-effort", "bench-runner-effort"],
@@ -286,6 +318,42 @@ class TestOutOfRangeNumbers:
             api.campaign_run(tmp_path / "camp", circuits="tseng",
                              algorithms="rt", timeout=-1.0)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_campaign_run_jobs_must_be_positive(self, jobs, capsys, tmp_path):
+        """A worker count below 1 used to run one worker silently."""
+        code = cli_main(["campaign", "run", str(tmp_path / "camp"),
+                         "--circuits", "tseng", "--algorithms", "rt",
+                         "--jobs", jobs])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"repro campaign run: jobs must be >= 1, got {jobs}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_campaign_resume_jobs_must_be_positive(self, jobs, capsys,
+                                                   tmp_path):
+        store = failed_campaign(tmp_path / "camp")
+        rows = [dict(row) for row in store.task_rows()]
+        code = cli_main(["campaign", "resume", str(tmp_path / "camp"),
+                         "--jobs", jobs])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"repro campaign resume: jobs must be >= 1, got {jobs}\n"
+        assert [dict(row) for row in store.task_rows()] == rows
+        assert [path.name for path in (tmp_path / "camp").iterdir()] == [
+            "campaign.sqlite"
+        ]
+
+    def test_campaign_api_rejects_zero_jobs(self, tmp_path):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            api.campaign_run(tmp_path / "camp", circuits="tseng",
+                             algorithms="rt", jobs=0)
+        assert list(tmp_path.iterdir()) == []
+        store = failed_campaign(tmp_path / "camp")
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            api.campaign_resume(tmp_path / "camp", jobs=0)
+        assert store.status_of("baseline/tseng@0.02/s0") == "failed"
 
     def test_zero_effort_is_accepted(self):
         args = build_parser().parse_args(
@@ -329,7 +397,8 @@ class TestRoutingFlags:
     ):
         """Routing has one implementation, and routing and embedding run
         in the caller's process, so no flag picks an implementation or a
-        process count; only a campaign takes ``--jobs``."""
+        process count; only a campaign takes ``--jobs``.  Nor does a
+        flag name a netlist store: a campaign always keeps its own."""
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--help"])
         assert exc.value.code == 0
@@ -339,3 +408,4 @@ class TestRoutingFlags:
             help_text,
         )
         assert bool(re.search(r"--jobs\b", help_text)) == has_jobs
+        assert "--netlist-store" not in help_text
