@@ -17,8 +17,7 @@ comparable column the gate passes with a notice rather than comparing
 apples to oranges.
 
 The routing hot-path timers (``--gate-timers``, default
-``route.negotiate``, ``route.wmin.confirm``, ``route.wmin.search`` and
-``route.wmin.replay``) are gated the same way,
+``route.negotiate`` and ``route.wmin``) are gated the same way,
 against the baseline's ``timers`` (same-shape runs) or ``quick_timers``
 (quick run vs committed full baseline) column.
 """
@@ -54,10 +53,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--gate-timers",
-        default=(
-            "route.negotiate,route.wmin.confirm,"
-            "route.wmin.search,route.wmin.replay"
-        ),
+        default="route.negotiate,route.wmin",
         metavar="CSV",
         help="PERF timers gated like phases on same-shape runs "
         "(empty to disable)",

@@ -34,9 +34,8 @@ from contextlib import contextmanager
 class PerfRegistry:
     """Process-wide counter/timer registry (single-threaded updates).
 
-    Code that aggregates its own counts (the W_min probes) folds them
-    back through :meth:`merge_counts`; nothing updates the registry
-    concurrently, so it never needs locking on the hot path.
+    Every update happens in the process that owns the registry, so it
+    never needs locking on the hot path.
     """
 
     __slots__ = ("enabled", "tracer", "_counters", "_timers", "_maxes")
@@ -69,11 +68,6 @@ class PerfRegistry:
     def add(self, name: str, amount: int = 1) -> None:
         """Bump a counter (call sites guard with ``if PERF.enabled``)."""
         self._counters[name] += amount
-
-    def merge_counts(self, counts: dict[str, int]) -> None:
-        """Fold in counts the in-process W_min probe loop tallied itself."""
-        for name, amount in counts.items():
-            self._counters[name] += amount
 
     def record_max(self, name: str, value: float) -> None:
         """Keep the running maximum of a gauge (e.g. ``peak_rss_mb``).

@@ -9,7 +9,7 @@ from repro.route.metrics import (
 )
 from repro.route.pathfinder import NetRoute, RoutingResult, route_design
 from repro.route.rrgraph import IndexedRoutingGraph, Segment
-from repro.route.wmin import demand_lower_bound, find_min_channel_width_fast
+from repro.route.wmin import demand_lower_bound
 
 __all__ = [
     "IndexedRoutingGraph",
@@ -19,7 +19,6 @@ __all__ = [
     "Segment",
     "demand_lower_bound",
     "find_min_channel_width",
-    "find_min_channel_width_fast",
     "route_design",
     "route_infinite",
     "route_low_stress",

@@ -9,7 +9,9 @@ Section VII's protocol, after [18]:
   placement evaluation metric";
 * post-route critical path from actual route-tree hop distances.
 
-Every routing call runs in the caller's process.
+The ``W_min`` search lives in :mod:`repro.route.wmin`; callers reach it
+here as ``find_min_channel_width``.  Every routing call runs in the
+caller's process.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.netlist.netlist import Netlist
 from repro.perf import PERF
 from repro.place.placement import Placement
 from repro.route.pathfinder import RoutingResult, route_design
-from repro.route.wmin import find_min_channel_width_fast
+from repro.route.wmin import find_min_channel_width
 
 
 @dataclass
@@ -30,26 +32,6 @@ class RoutedTiming:
 
     critical_delay: float
     wirelength: int
-
-
-def find_min_channel_width(
-    netlist: Netlist,
-    placement: Placement,
-    max_width: int = 128,
-    max_iterations: int = 16,
-) -> int:
-    """Smallest routable channel width, per the reference probe protocol.
-
-    Runs the warm-started, bound-pruned search in
-    :mod:`repro.route.wmin`.
-    """
-    with PERF.timer("route.wmin"):
-        return find_min_channel_width_fast(
-            netlist,
-            placement,
-            max_width=max_width,
-            max_iterations=max_iterations,
-        )
 
 
 def route_low_stress(

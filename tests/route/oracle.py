@@ -7,8 +7,9 @@
   indexed router must replay it bit-for-bit under ``W∞`` and in exact
   mode, and never fail at a width where it succeeds.
 * The **reference W_min protocol** — :func:`galloping_bisect` over cold
-  ``route_design`` probes.  ``repro.route.wmin``'s warm-started search
-  must return exactly its width (and raise exactly where it raises).
+  ``route_design`` probes.  ``repro.route.wmin``'s scan up from the
+  demand lower bound must return exactly its width (and raise exactly
+  where it raises).
 
 Keep both byte-for-byte stable: they are what the parity tests measure
 the production code against.
