@@ -212,20 +212,16 @@ def phase_flow_micro(repeats: int, quick: bool) -> float:
     return _best_of(run, repeats)
 
 
-def _routing_workload(quick: bool):
-    """Placed circuit plus the fixed low-stress width for route phases."""
-    from repro.route.metrics import find_min_channel_width
-
-    netlist, placement = _placed_circuit(luts=120 if quick else 400, seed=7)
-    min_width = find_min_channel_width(netlist, placement)
-    width = max(min_width + 1, math.ceil(min_width * 1.2))
-    return netlist, placement, width
+def _routing_circuit(quick: bool):
+    """The placed circuit every route phase works on."""
+    return _placed_circuit(luts=120 if quick else 400, seed=7)
 
 
 def phase_route_winf(repeats: int, quick: bool) -> float:
     from repro.route.pathfinder import route_design
 
-    netlist, placement, _width = _routing_workload(quick)
+    # Unbounded tracks: no width to pick, so no W_min search.
+    netlist, placement = _routing_circuit(quick)
     return _best_of(
         lambda: route_design(netlist, placement, math.inf, max_iterations=1),
         repeats,
@@ -233,9 +229,13 @@ def phase_route_winf(repeats: int, quick: bool) -> float:
 
 
 def phase_route_lowstress(repeats: int, quick: bool) -> float:
+    """Negotiated routing at the low-stress width (W_min + 20%)."""
+    from repro.route.metrics import find_min_channel_width
     from repro.route.pathfinder import route_design
 
-    netlist, placement, width = _routing_workload(quick)
+    netlist, placement = _routing_circuit(quick)
+    min_width = find_min_channel_width(netlist, placement)
+    width = max(min_width + 1, math.ceil(min_width * 1.2))
     return _best_of(lambda: route_design(netlist, placement, width), repeats)
 
 
@@ -243,7 +243,7 @@ def phase_wmin(repeats: int, quick: bool) -> float:
     """Full W_min search on the routing circuit (the dominant route phase)."""
     from repro.route.metrics import find_min_channel_width
 
-    netlist, placement = _placed_circuit(luts=120 if quick else 400, seed=7)
+    netlist, placement = _routing_circuit(quick)
     return _best_of(
         lambda: find_min_channel_width(netlist, placement), repeats
     )

@@ -397,12 +397,8 @@ def campaign_run(
     scale: float = 0.08,
     effort: float = 1.0,
     jobs: int = 1,
-    timeout: float | None = None,
-    retries: int = 2,
-    backoff: float = 0.5,
     perf: bool = False,
     trace: bool = False,
-    faults: dict[str, int] | None = None,
     echo=None,
 ):
     """Start a new campaign: build the task matrix and execute it.
@@ -414,13 +410,15 @@ def campaign_run(
     :func:`campaign_resume`.  Returns a
     :class:`repro.campaign.CampaignSummary`.
 
-    The scheduler streams every design into
+    Each task runs once: a failed task keeps its traceback in its row,
+    its dependents are skipped, and :func:`campaign_resume` runs them
+    again.  The scheduler streams every design into
     ``campaign_dir/netlists.sqlite`` up front and workers open it
     read-only: task payloads and result rows carry store keys, never a
-    serialized netlist (the per-task payload bytes and worker peak RSS
-    are recorded in the campaign store's ``task_stats`` table).
-    Invalid settings (``jobs`` < 1, a ``timeout`` that is not finite
-    and > 0, ...) raise :class:`ValueError` before anything is written.
+    serialized netlist (each worker's peak RSS is recorded in the
+    campaign store's ``task_stats`` table).  Invalid settings
+    (``jobs`` < 1, an unknown algorithm, ...) raise :class:`ValueError`
+    before anything is written.
     """
     from repro.bench.suite import resolve_names
     from repro.campaign import (
@@ -441,12 +439,8 @@ def campaign_run(
         scale=scale,
         effort=effort,
         jobs=jobs,
-        timeout=timeout,
-        retries=retries,
-        backoff=backoff,
         perf=perf,
         trace=trace,
-        faults=dict(faults or {}),
     )
     store = CampaignStore.in_dir(campaign_dir)
     if store.task_rows():
@@ -460,7 +454,7 @@ def campaign_run(
 
 
 def campaign_resume(campaign_dir: str | Path, *, jobs: int | None = None, echo=None):
-    """Resume a killed/failed campaign: re-run only tasks not ``done``.
+    """Resume a killed/failed campaign: run once more every task not ``done``.
 
     Completed tasks are never re-executed — their rows are reused
     as-is.  ``jobs`` optionally overrides the stored worker count

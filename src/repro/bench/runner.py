@@ -56,6 +56,26 @@ from repro.route.metrics import (
 ALGORITHMS = ("local", "rt", "lex-mc", "lex-2", "lex-3", "lex-4", "lex-5")
 
 
+class LowStressRouteError(RuntimeError):
+    """A design did not route legally at its low-stress width.
+
+    Its ``W_ls`` and wirelength would come from an overused routing, so
+    the runner stops instead of reporting them.
+    """
+
+
+def _routed_low_stress(netlist, placement, min_width: int, circuit: str,
+                       algorithm: str):
+    """:func:`route_low_stress`, raising when the route ends overused."""
+    low = route_low_stress(netlist, placement, min_width=min_width)
+    if not low.success or low.remaining_overuse > 0:
+        raise LowStressRouteError(
+            f"{circuit} {algorithm}: the low-stress route at width "
+            f"{low.channel_width:g} ends with overuse {low.remaining_overuse}"
+        )
+    return low
+
+
 @dataclass
 class BaselineRun:
     """Timing-driven-VPR-substitute baseline for one circuit (Table I)."""
@@ -215,14 +235,15 @@ def measure_baseline(
     The baseline flow never mutates ``netlist``, so it may be the
     read-only :class:`~repro.netlist.arrays.ArrayNetlist` a campaign
     loads from its netlist store; every measured number is the same as
-    on the object netlist.
+    on the object netlist.  Raises :class:`LowStressRouteError` when
+    the low-stress route ends overused.
     """
     start = time.perf_counter()
     placement, _stats = place_timing_driven(
         netlist, arch, seed=seed, inner_scale=inner_scale
     )
     min_width = find_min_channel_width(netlist, placement)
-    low = route_low_stress(netlist, placement, min_width=min_width)
+    low = _routed_low_stress(netlist, placement, min_width, name, "baseline")
     infinite = route_infinite(netlist, placement)
     elapsed = time.perf_counter() - start
 
@@ -261,7 +282,12 @@ def run_variant(
     effort: float = 1.0,
     seed: int = 0,
 ) -> VariantRun:
-    """Run one optimization algorithm against a baseline and re-route."""
+    """Run one optimization algorithm against a baseline and re-route.
+
+    The optimized design is re-routed at the baseline's low-stress
+    width; :class:`LowStressRouteError` is raised when that route ends
+    overused.
+    """
     netlist = baseline.netlist.clone()
     placement = baseline.placement.copy()
     start = time.perf_counter()
@@ -279,7 +305,9 @@ def run_variant(
         history = opt.history
     seconds = time.perf_counter() - start
 
-    low = route_low_stress(netlist, placement, min_width=baseline.min_width)
+    low = _routed_low_stress(
+        netlist, placement, baseline.min_width, baseline.name, algorithm
+    )
     infinite = route_infinite(netlist, placement)
     w_ls = routed_critical_delay(netlist, placement, low).critical_delay
     w_inf = routed_critical_delay(netlist, placement, infinite).critical_delay

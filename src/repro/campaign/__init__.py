@@ -1,13 +1,13 @@
-"""Campaign engine: fault-tolerant, parallel, resumable experiment runs.
+"""Campaign engine: parallel, resumable experiment runs.
 
 The paper's Section VII evaluation is a matrix — circuits × algorithms ×
 seeds — that the sequential benchmark runner executes as one long
 in-process loop.  This package turns that matrix into an explicit task
 graph (baseline tasks feeding variant tasks), executes it on a
-process-pool scheduler with per-task timeouts and bounded retry, and
-records every outcome in a durable SQLite store, so a killed campaign
-resumes where it left off and final tables are rendered *from the
-store* — byte-identical to the sequential runner's output.
+process-pool scheduler that runs each pending task once per invocation,
+and records every outcome in a durable SQLite store, so a killed or
+failed campaign resumes where it left off and final tables are rendered
+*from the store* — byte-identical to the sequential runner's output.
 
 Modules:
 
@@ -15,9 +15,8 @@ Modules:
   ids, matrix construction, campaign config.
 * :mod:`repro.campaign.store` — the ``campaign.sqlite`` result store
   (WAL mode, one row per task).
-* :mod:`repro.campaign.scheduler` — process-pool execution: timeout,
-  retry with exponential backoff, dependent-skip degradation, fault
-  injection for tests.
+* :mod:`repro.campaign.scheduler` — process-pool execution: one launch
+  per task per invocation, a failed task's dependents skipped.
 * :mod:`repro.campaign.report` — render tables/status from the store.
 """
 

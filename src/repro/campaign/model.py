@@ -11,7 +11,6 @@ work without any bookkeeping beyond the rows themselves.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 
 #: Task lifecycle states recorded in the store.
@@ -69,10 +68,15 @@ class Task:
         )
 
 
-#: Routing knobs that configs stored before routing had one
-#: implementation, run in one process, carry; none ever changed a
-#: result, so reading a stored config drops them.
-_RETIRED_KEYS = ("wmin_engine", "route_kernel", "route_search", "route_jobs")
+#: Keys that older stored configs carry and reading one drops: the
+#: routing knobs of the days routing had selectable implementations and
+#: worker pools (none ever changed a result), and the per-task fault
+#: handling (a time limit, a rerun count and delay, a test fault map),
+#: which a deterministic task never needed.
+_RETIRED_KEYS = (
+    "wmin_engine", "route_kernel", "route_search", "route_jobs",
+    "timeout", "retries", "backoff", "faults",
+)
 
 
 @dataclass
@@ -83,13 +87,9 @@ class CampaignConfig:
     under exactly the configuration ``run`` started with (``jobs`` may
     be overridden at resume time — it never changes results).
 
-    ``jobs`` (worker processes) must be >= 1.  ``retries`` counts
-    *re-runs after the first failure*, so a task is attempted at most
-    ``retries + 1`` times per campaign invocation.  ``timeout``
-    (seconds, ``None`` for none) must be finite and > 0, ``backoff``
-    finite and >= 0.  ``faults`` is the test-facing fault-injection
-    hook: task id → number of injected failures; a negative count makes
-    the task hang instead of raise (exercising the timeout path).
+    ``jobs`` (worker processes) must be >= 1.  Each pending task runs
+    once per ``run`` or ``resume``: every task is seeded, so a rerun in
+    the same invocation would repeat its failure.
 
     Every campaign keeps its designs in a :mod:`repro.netlist.store`
     database, ``netlists.sqlite`` next to ``campaign.sqlite``: the
@@ -106,12 +106,8 @@ class CampaignConfig:
     scale: float = 0.08
     effort: float = 1.0
     jobs: int = 1
-    timeout: float | None = None
-    retries: int = 2
-    backoff: float = 0.5
     perf: bool = False
     trace: bool = False
-    faults: dict[str, int] = field(default_factory=dict)
     netlist_store: str | None = None
 
     def __post_init__(self) -> None:
@@ -129,20 +125,6 @@ class CampaignConfig:
             raise ValueError("campaign needs at least one seed")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
-        if self.timeout is not None and not (
-            math.isfinite(self.timeout) and self.timeout > 0
-        ):
-            raise ValueError(
-                f"timeout must be a finite number of seconds > 0, "
-                f"got {self.timeout:g}"
-            )
-        if not (math.isfinite(self.backoff) and self.backoff >= 0):
-            raise ValueError(
-                f"backoff must be a finite number of seconds >= 0, "
-                f"got {self.backoff:g}"
-            )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -150,18 +132,10 @@ class CampaignConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignConfig":
         data = {k: v for k, v in data.items() if k not in _RETIRED_KEYS}
-        timeout = data.get("timeout")
-        if timeout is not None and (timeout == 0 or math.isnan(timeout)):
-            # Stored before timeouts were checked: both meant no timeout.
-            data["timeout"] = None
         if data.get("jobs", 1) < 1:
             # Stored before worker counts were checked: it ran one worker.
             data["jobs"] = 1
         return cls(**data)
-
-    @property
-    def max_attempts(self) -> int:
-        return self.retries + 1
 
 
 def build_matrix(config: CampaignConfig) -> list[Task]:

@@ -119,27 +119,11 @@ def render_status(store: CampaignStore) -> str:
         if row["status"] in ("running", "failed", "skipped"):
             note = (row["error"] or "").strip().splitlines()
             suffix = f" — {note[-1]}" if note else ""
-            lines.append(
-                f"  {row['status']:<8} {row['task_id']} "
-                f"(attempts {row['attempts']}){suffix}"
-            )
-    stats = store.task_stats()
-    payloads = [
-        s["payload_bytes"] for s in stats.values()
-        if s["payload_bytes"] is not None
-    ]
+            lines.append(f"  {row['status']:<8} {row['task_id']}{suffix}")
     rss = [
-        s["peak_rss_mb"] for s in stats.values()
+        s["peak_rss_mb"] for s in store.task_stats().values()
         if s["peak_rss_mb"] is not None
     ]
-    if payloads or rss:
-        parts = []
-        if payloads:
-            parts.append(
-                f"payload max {max(payloads)} B / "
-                f"mean {sum(payloads) / len(payloads):.0f} B"
-            )
-        if rss:
-            parts.append(f"worker peak RSS max {max(rss):.1f} MB")
-        lines.append(f"task stats: {'; '.join(parts)}")
+    if rss:
+        lines.append(f"task stats: worker peak RSS max {max(rss):.1f} MB")
     return "\n".join(lines)

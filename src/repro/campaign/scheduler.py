@@ -1,30 +1,32 @@
-"""Process-pool task scheduler with timeout, retry and degradation.
+"""Process-pool task scheduler: each pending task runs once per invocation.
 
-Execution model: one worker **process per task attempt**.  A worker
+Execution model: one worker **process per task launch**.  A worker
 imports nothing from the scheduler's state — it receives a JSON-ready
 payload over a pipe, runs the task (a ``bench.runner`` baseline or
-variant), and sends back either ``("ok", result_dict)`` or ``("error",
-traceback_text)``.  The parent is the only store writer, so a worker can
-be SIGKILLed at any instant without corrupting the campaign: the parent
-observes the dead pipe and records a failure.
+variant), and sends back either ``("ok", result_dict, stats)`` or
+``("error", traceback_text)``.  The parent is the only store writer, so
+a worker can be SIGKILLed at any instant without corrupting the
+campaign: the parent observes the dead pipe and records a failure.
 
-Fault model:
+Fault model: every task is deterministic (seeded placement, W_min
+search, routing, replication flow and local replication), so a task
+that raises once raises the same way on a rerun, and no rerun happens
+within one invocation.  A failure that need not repeat, such as a
+killed worker, is what ``campaign resume`` is for.
 
-* **crash / raised exception** — traceback recorded; retried up to
-  ``retries`` times with exponential backoff (``backoff * 2**(attempt-1)``
-  seconds).
-* **timeout** — the worker is killed after ``timeout`` seconds and the
-  attempt counts as a failure.
-* **exhausted retries** — the task is marked ``failed`` with its last
+* **crash / raised exception** — the task is marked ``failed`` with its
   traceback and every transitive dependent is marked ``skipped``; the
   campaign keeps running everything else (graceful degradation, never a
-  crash).
+  crash).  ``campaign resume`` runs the failed and skipped rows again.
+* **interrupt** — Ctrl-C kills the workers and hands their rows back to
+  ``pending``; a scheduler killed outright leaves them ``running``, and
+  the next invocation resets those rows.  ``done`` rows are never re-run.
 
-Fault injection for tests comes in two equivalent forms: the
-``CampaignConfig.faults`` map (``task_id -> N`` fail the first N
-attempts; negative N hangs instead, exercising the timeout path), which
-survives serialization into the store, and a ``fault_hook`` callable on
-the scheduler for in-process tests.
+Every loop inside a task is bounded (the anneal schedule, the router's
+iteration cap, the W_min scan's ceiling, the flow's iteration cap and
+patience), so a task has no time limit.  Tests make a task fail or hang
+by handing the scheduler another ``worker`` function in place of
+:func:`execute_task`.
 """
 
 from __future__ import annotations
@@ -45,9 +47,6 @@ from repro.netlist.store import (
     design_key,
 )
 
-#: Injected-fault codes carried in worker payloads.
-_FAULT_NONE, _FAULT_RAISE, _FAULT_HANG = 0, 1, -1
-
 #: Subdirectories of the campaign dir collecting per-task artifacts.
 PERF_DIR = "perf"
 TRACE_DIR = "trace"
@@ -66,19 +65,10 @@ def execute_task(payload: dict) -> dict:
     campaign's netlist store and, for variants, the baseline's result
     row.
     """
-    task = payload["task"]
-    inject = payload.get("inject", _FAULT_NONE)
-    if inject == _FAULT_HANG:
-        time.sleep(3600.0)
-    if inject == _FAULT_RAISE:
-        raise RuntimeError(
-            f"injected fault in {task['task_id']} "
-            f"(attempt {payload.get('attempt', 1)})"
-        )
-
     from repro.bench.runner import BaselineRun, measure_baseline, run_variant
     from repro.perf import PERF, sample_peak_rss
 
+    task = payload["task"]
     perf_on = payload.get("perf", False)
     trace_on = payload.get("trace", False)
     campaign_dir = payload.get("campaign_dir")
@@ -128,8 +118,8 @@ def execute_task(payload: dict) -> dict:
             )
 
 
-def _worker_main(conn, payload: dict) -> None:
-    """Process entry point: run the task, report over the pipe, exit.
+def _worker_main(conn, worker, payload: dict) -> None:
+    """Process entry point: run ``worker(payload)``, report over the pipe, exit.
 
     The success message is a 3-tuple: result dict plus a small stats
     dict (worker peak RSS) the parent folds into the campaign store's
@@ -138,7 +128,7 @@ def _worker_main(conn, payload: dict) -> None:
     from repro.perf import sample_peak_rss
 
     try:
-        result = execute_task(payload)
+        result = worker(payload)
         conn.send(("ok", result, {"peak_rss_mb": sample_peak_rss()}))
     except BaseException:
         try:
@@ -164,9 +154,7 @@ class _Handle:
     task: Task
     process: object
     conn: object
-    attempt: int
     started: float
-    deadline: float | None
 
 
 @dataclass
@@ -201,7 +189,7 @@ class CampaignScheduler:
         store: CampaignStore,
         config: CampaignConfig,
         *,
-        fault_hook=None,
+        worker=execute_task,
         echo=None,
         mp_context=None,
     ) -> None:
@@ -221,16 +209,14 @@ class CampaignScheduler:
                 f"not exist (a relative path is read from the working "
                 f"directory)"
             )
-        self.fault_hook = fault_hook
+        # What each worker process runs; picklable, so any mp_context works.
+        self.worker = worker
         self.echo = echo or (lambda message: None)
         self._ctx = mp_context or multiprocessing.get_context()
         self._by_id: dict[str, Task] = {}
         self._dependents: dict[str, list[str]] = defaultdict(list)
         self._status: dict[str, str] = {}
-        self._attempts: dict[str, int] = defaultdict(int)
-        self._lifetime: dict[str, int] = {}
         self._queue: deque[str] = deque()
-        self._delayed: list[tuple[float, str]] = []
         self._running: dict[str, _Handle] = {}
 
     # -- main loop -----------------------------------------------------
@@ -244,10 +230,8 @@ class CampaignScheduler:
         for task in tasks:
             for dep in task.deps:
                 self._dependents[dep].append(task.task_id)
-        rows = self.store.task_rows()
-        self._status = {row["task_id"]: row["status"] for row in rows}
-        self._lifetime = {
-            row["task_id"]: row["total_attempts"] for row in rows
+        self._status = {
+            row["task_id"]: row["status"] for row in self.store.task_rows()
         }
         # Rows left 'running' by a killed scheduler: nobody owns them now.
         for task_id, status in self._status.items():
@@ -259,23 +243,16 @@ class CampaignScheduler:
             if self._status[task.task_id] == "pending"
         )
         try:
-            while self._queue or self._delayed or self._running:
-                self._promote_delayed()
+            while self._queue or self._running:
                 launched = self._launch_ready()
                 if self._running:
                     self._poll_running()
-                elif self._delayed:
-                    next_at = min(at for at, _ in self._delayed)
-                    time.sleep(min(0.05, max(0.0, next_at - time.monotonic())))
                 elif self._queue and not launched:
                     # Every queued task waits on a dep that no longer has
                     # an owner — cannot happen with a well-formed graph;
                     # bail out rather than spin forever.
                     for task_id in list(self._queue):
-                        self._finish(
-                            task_id, "skipped",
-                            "skipped: dependency never completed",
-                        )
+                        self._skip(task_id, "dependency never completed")
                     self._queue.clear()
         finally:
             self._kill_all()
@@ -306,15 +283,6 @@ class CampaignScheduler:
 
     # -- scheduling ----------------------------------------------------
 
-    def _promote_delayed(self) -> None:
-        now = time.monotonic()
-        due = [task_id for at, task_id in self._delayed if at <= now]
-        if due:
-            self._delayed = [
-                (at, task_id) for at, task_id in self._delayed if at > now
-            ]
-            self._queue.extend(due)
-
     def _launch_ready(self) -> int:
         launched = 0
         for task_id in list(self._queue):
@@ -328,9 +296,8 @@ class CampaignScheduler:
             ]
             if bad:
                 self._queue.remove(task_id)
-                self._finish(
-                    task_id, "skipped",
-                    f"skipped: dependency {bad[0]} {self._status[bad[0]]}",
+                self._skip(
+                    task_id, f"dependency {bad[0]} {self._status[bad[0]]}"
                 )
                 continue
             if all(status == "done" for status in dep_status):
@@ -340,94 +307,46 @@ class CampaignScheduler:
         return launched
 
     def _launch(self, task: Task) -> None:
-        attempt = self._attempts[task.task_id] + 1
-        self._attempts[task.task_id] = attempt
-        self._lifetime[task.task_id] = self._lifetime.get(task.task_id, 0) + 1
-        payload = self._payload(task, attempt)
-        import pickle
-
-        self.store.record_task_stats(
-            task.task_id, payload_bytes=len(pickle.dumps(payload))
-        )
         parent_conn, child_conn = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
-            target=_worker_main, args=(child_conn, payload), daemon=True
+            target=_worker_main,
+            args=(child_conn, self.worker, self._payload(task)),
+            daemon=True,
         )
         process.start()
         child_conn.close()
-        now = time.monotonic()
-        deadline = (
-            now + self.config.timeout if self.config.timeout else None
-        )
         self._running[task.task_id] = _Handle(
             task=task,
             process=process,
             conn=parent_conn,
-            attempt=attempt,
-            started=now,
-            deadline=deadline,
+            started=time.monotonic(),
         )
-        self.store.mark_running(task.task_id, attempt)
+        self.store.mark_running(task.task_id)
         self._status[task.task_id] = "running"
 
-    def _payload(self, task: Task, attempt: int) -> dict:
+    def _payload(self, task: Task) -> dict:
         config = self.config
         payload = {
             "task": task.to_row(),
-            "attempt": attempt,
             "effort": config.effort,
             "perf": config.perf,
             "trace": config.trace,
             "campaign_dir": str(self.campaign_dir),
             "netlist_store": str(self.netlist_store),
-            "inject": self._fault_code(task.task_id, attempt),
         }
         if task.kind == "variant":
             payload["baseline"] = self.store.result_of(task.deps[0])
         return payload
-
-    def _fault_code(self, task_id: str, attempt: int) -> int:
-        """Injected-fault decision for one launch.
-
-        The ``fault_hook`` callable sees the per-invocation attempt; the
-        serialized ``config.faults`` spec is counted against *lifetime*
-        attempts, so an injected transient fault (e.g. ``N=1`` with
-        ``retries=0``) fails a campaign run but is recovered by resume —
-        exactly the shape of a real transient crash.
-        """
-        if self.fault_hook is not None:
-            code = self.fault_hook(task_id, attempt)
-            if code:
-                return code
-        spec = self.config.faults.get(task_id, 0)
-        lifetime = self._lifetime.get(task_id, attempt)
-        if spec > 0 and lifetime <= spec:
-            return _FAULT_RAISE
-        if spec < 0 and lifetime <= -spec:
-            return _FAULT_HANG
-        return _FAULT_NONE
 
     # -- completion handling -------------------------------------------
 
     def _poll_running(self) -> None:
         conns = [handle.conn for handle in self._running.values()]
         ready = set(_conn_wait(conns, timeout=0.05))
-        now = time.monotonic()
         for handle in list(self._running.values()):
-            if handle.conn in ready:
-                self._reap(handle)
-            elif handle.deadline is not None and now > handle.deadline:
-                handle.process.kill()
-                handle.process.join()
-                self._close(handle)
-                self._record_failure(
-                    handle,
-                    f"task timed out after {self.config.timeout:g}s "
-                    f"(worker killed)",
-                )
-            elif not handle.process.is_alive():
-                # Died without a pipe event getting through (rare; the
-                # closed pipe usually surfaces via wait()).
+            # A worker that died without a pipe event getting through is
+            # reaped too (rare; the closed pipe usually surfaces via wait()).
+            if handle.conn in ready or not handle.process.is_alive():
                 self._reap(handle)
 
     def _reap(self, handle: _Handle) -> None:
@@ -478,22 +397,10 @@ class CampaignScheduler:
     def _record_failure(self, handle: _Handle, error: str) -> None:
         task = handle.task
         seconds = time.monotonic() - handle.started
-        if handle.attempt < self.config.max_attempts:
-            delay = self.config.backoff * (2 ** (handle.attempt - 1))
-            self.store.mark_pending(task.task_id, error=error)
-            self._status[task.task_id] = "pending"
-            self._delayed.append((time.monotonic() + delay, task.task_id))
-            self.echo(
-                f"retry   {task.task_id} (attempt {handle.attempt} failed; "
-                f"next in {delay:g}s)"
-            )
-        else:
-            self.store.mark_failed(task.task_id, error, seconds)
-            self._status[task.task_id] = "failed"
-            self.echo(
-                f"failed  {task.task_id} after {handle.attempt} attempts"
-            )
-            self._skip_dependents(task.task_id)
+        self.store.mark_failed(task.task_id, error, seconds)
+        self._status[task.task_id] = "failed"
+        self.echo(f"failed  {task.task_id} ({seconds:.1f}s)")
+        self._skip_dependents(task.task_id)
 
     def _skip_dependents(self, task_id: str) -> None:
         for dep_id in self._dependents.get(task_id, ()):  # graph is a DAG
@@ -501,22 +408,16 @@ class CampaignScheduler:
                 continue
             if dep_id in self._queue:
                 self._queue.remove(dep_id)
-            self._delayed = [
-                (at, tid) for at, tid in self._delayed if tid != dep_id
-            ]
-            self._finish(
-                dep_id, "skipped",
-                f"skipped: dependency {task_id} {self._status[task_id]}",
+            self._skip(
+                dep_id, f"dependency {task_id} {self._status[task_id]}"
             )
             self._skip_dependents(dep_id)
 
-    def _finish(self, task_id: str, status: str, reason: str) -> None:
-        if status == "skipped":
-            self.store.mark_skipped(task_id, reason)
-        else:
-            self.store.mark_failed(task_id, reason)
-        self._status[task_id] = status
-        self.echo(f"{status:<7} {task_id} ({reason})")
+    def _skip(self, task_id: str, reason: str) -> None:
+        reason = f"skipped: {reason}"
+        self.store.mark_skipped(task_id, reason)
+        self._status[task_id] = "skipped"
+        self.echo(f"skipped {task_id} ({reason})")
 
     def _kill_all(self) -> None:
         """Interrupt path: kill workers, hand their tasks back to pending."""

@@ -3,10 +3,13 @@
 One SQLite database per campaign directory, in WAL mode so the
 scheduler (single writer) and any number of ``status``/``report``
 readers can share it while workers run.  One row per task carries the
-full lifecycle: status, attempt count, wall seconds, the result payload
-as JSON (a :class:`BaselineRun`/:class:`VariantRun` round-trip dict) and
-the traceback of the last failure.  The ``meta`` table stores the
-campaign config.
+full lifecycle: status, lifetime launch count, wall seconds, the result
+payload as JSON (a :class:`BaselineRun`/:class:`VariantRun` round-trip
+dict) and the traceback of the last failure.  The ``meta`` table stores
+the campaign config, and ``task_stats`` each task's worker peak RSS.
+Stores written before tasks ran once per invocation also hold each
+task's per-invocation attempt count and payload size; nothing reads
+them.
 
 Two deliberate structural choices keep the durability story simple:
 
@@ -47,7 +50,6 @@ CREATE TABLE IF NOT EXISTS tasks (
     scale      REAL NOT NULL,
     deps       TEXT NOT NULL DEFAULT '[]',
     status     TEXT NOT NULL DEFAULT 'pending',
-    attempts   INTEGER NOT NULL DEFAULT 0,
     total_attempts INTEGER NOT NULL DEFAULT 0,
     seconds    REAL NOT NULL DEFAULT 0.0,
     error      TEXT,
@@ -56,10 +58,9 @@ CREATE TABLE IF NOT EXISTS tasks (
 );
 CREATE INDEX IF NOT EXISTS tasks_status ON tasks(status);
 CREATE TABLE IF NOT EXISTS task_stats (
-    task_id       TEXT PRIMARY KEY,
-    payload_bytes INTEGER,
-    peak_rss_mb   REAL,
-    updated_at    REAL
+    task_id     TEXT PRIMARY KEY,
+    peak_rss_mb REAL,
+    updated_at  REAL
 );
 """
 
@@ -197,14 +198,14 @@ class CampaignStore:
                 (*fields.values(), task_id),
             )
 
-    def mark_running(self, task_id: str, attempt: int) -> None:
-        """Task launched; ``attempts`` is per-invocation, total is lifetime."""
+    def mark_running(self, task_id: str) -> None:
+        """Task launched; ``total_attempts`` counts launches over all runs."""
         with self._connect() as conn:
             conn.execute(
-                "UPDATE tasks SET status='running', attempts=?, "
+                "UPDATE tasks SET status='running', "
                 "total_attempts=total_attempts+1, updated_at=? "
                 "WHERE task_id=?",
-                (attempt, time.time(), task_id),
+                (time.time(), task_id),
             )
 
     def mark_done(self, task_id: str, result: dict, seconds: float) -> None:
@@ -217,7 +218,7 @@ class CampaignStore:
         )
 
     def mark_pending(self, task_id: str, error: str | None = None) -> None:
-        """Back to the queue (retry after failure, or resume reset)."""
+        """Back to the queue (interrupted, or orphaned by a killed run)."""
         self._set(task_id, status="pending", error=error)
 
     def mark_failed(self, task_id: str, error: str, seconds: float = 0.0) -> None:
@@ -240,51 +241,32 @@ class CampaignStore:
         """Resume entry point: everything not ``done`` goes back to pending.
 
         Covers ``running`` rows orphaned by a SIGKILL as well as
-        ``failed``/``skipped`` rows, which get a fresh attempt budget on
-        the next invocation.  Returns the number of rows reset.
+        ``failed``/``skipped`` rows, which run once more on the next
+        invocation.  Returns the number of rows reset.
         """
         with self._connect() as conn:
             cursor = conn.execute(
-                "UPDATE tasks SET status='pending', attempts=0 "
-                "WHERE status != 'done'"
+                "UPDATE tasks SET status='pending' WHERE status != 'done'"
             )
             return cursor.rowcount
 
-    # -- per-task IPC/memory stats ------------------------------------
+    # -- per-task memory stats ---------------------------------------
 
-    def record_task_stats(
-        self,
-        task_id: str,
-        *,
-        payload_bytes: int | None = None,
-        peak_rss_mb: float | None = None,
-    ) -> None:
-        """Upsert a task's IPC payload size and worker peak RSS.
-
-        The two fields arrive at different times (payload at launch,
-        RSS at completion), so each update keeps whatever the other
-        call already wrote.
-        """
+    def record_task_stats(self, task_id: str, *, peak_rss_mb: float) -> None:
+        """Record a finished task's worker peak RSS."""
         with self._connect() as conn:
             conn.execute(
-                "INSERT INTO task_stats(task_id, payload_bytes, peak_rss_mb,"
-                " updated_at) VALUES(?,?,?,?)"
-                " ON CONFLICT(task_id) DO UPDATE SET"
-                " payload_bytes=COALESCE(excluded.payload_bytes, payload_bytes),"
-                " peak_rss_mb=COALESCE(excluded.peak_rss_mb, peak_rss_mb),"
-                " updated_at=excluded.updated_at",
-                (task_id, payload_bytes, peak_rss_mb, time.time()),
+                "INSERT OR REPLACE INTO task_stats(task_id, peak_rss_mb,"
+                " updated_at) VALUES(?,?,?)",
+                (task_id, peak_rss_mb, time.time()),
             )
 
     def task_stats(self) -> dict[str, dict]:
         """All recorded stats, keyed by task id."""
         with self._connect() as conn:
             return {
-                row["task_id"]: {
-                    "payload_bytes": row["payload_bytes"],
-                    "peak_rss_mb": row["peak_rss_mb"],
-                }
+                row["task_id"]: {"peak_rss_mb": row["peak_rss_mb"]}
                 for row in conn.execute(
-                    "SELECT task_id, payload_bytes, peak_rss_mb FROM task_stats"
+                    "SELECT task_id, peak_rss_mb FROM task_stats"
                 )
             }

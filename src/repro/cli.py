@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     campaign = sub.add_parser(
         "campaign",
-        help="fault-tolerant parallel experiment matrix "
+        help="parallel, resumable experiment matrix "
         "(run/resume/status/report over a durable store)",
     )
     camp_sub = campaign.add_subparsers(dest="campaign_command", required=True)
@@ -174,20 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
     crun.add_argument("--effort", type=non_negative_effort, default=1.0)
     crun.add_argument("--jobs", type=int, default=1,
                       help="worker processes (one task per process)")
-    crun.add_argument("--timeout", type=float, default=None, metavar="S",
-                      help="kill a task after S seconds (counts as a failure)")
-    crun.add_argument("--retries", type=int, default=2,
-                      help="re-runs after a task's first failure")
-    crun.add_argument("--backoff", type=float, default=0.5, metavar="S",
-                      help="base retry delay; doubles per attempt")
     crun.add_argument("--perf", action="store_true",
                       help="per-task perf snapshots into DIR/perf/")
     crun.add_argument("--trace", action="store_true",
                       help="per-task Chrome traces into DIR/trace/")
-    crun.add_argument("--inject-fault", action="append", default=[],
-                      dest="inject_fault", metavar="TASK=N",
-                      help="testing hook: fail TASK's first N attempts "
-                      "(negative N hangs, exercising --timeout)")
     crun.set_defaults(func=cmd_campaign_run)
 
     cresume = camp_sub.add_parser(
@@ -442,22 +432,6 @@ def cmd_netlist_info(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _parse_faults(entries: list[str]) -> dict[str, int]:
-    faults: dict[str, int] = {}
-    for entry in entries:
-        task_id, _, count = entry.partition("=")
-        try:
-            attempts = int(count)
-        except ValueError:
-            attempts = None
-        if not task_id or attempts is None:
-            raise CliError(
-                f"bad --inject-fault {entry!r} (expected TASK=N)", EXIT_USAGE
-            )
-        faults[task_id] = attempts
-    return faults
-
-
 def _print_campaign_summary(summary) -> int:
     print(
         f"campaign finished in {summary.seconds:.1f}s: "
@@ -471,7 +445,6 @@ def _print_campaign_summary(summary) -> int:
 
 
 def cmd_campaign_run(args) -> int:
-    faults = _parse_faults(args.inject_fault)
     try:
         summary = api.campaign_run(
             args.campaign_dir,
@@ -481,12 +454,8 @@ def cmd_campaign_run(args) -> int:
             scale=args.scale,
             effort=args.effort,
             jobs=args.jobs,
-            timeout=args.timeout,
-            retries=args.retries,
-            backoff=args.backoff,
             perf=args.perf,
             trace=args.trace,
-            faults=faults,
             echo=print,
         )
     except ValueError as exc:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.bench import runner, tables
 from repro.bench.runner import (
+    LowStressRouteError,
     averages_by_size,
     replication_config,
     run_variant,
@@ -44,6 +45,19 @@ class TestVariants:
         cells_before = baseline.netlist.num_cells
         run_variant(baseline, "rt", effort=0.2)
         assert baseline.netlist.num_cells == cells_before
+
+    def test_overused_low_stress_route_raises(self):
+        """Table III's committed config (tseng at 0.06, seed 0, effort
+        1.0): Lex-3's replicated design ends overused at the baseline's
+        low-stress width, and the runner says so instead of reporting a
+        ``W_ls`` and wirelength from that routing."""
+        tseng = run_vpr_baseline("tseng", scale=0.06, seed=0)
+        with pytest.raises(
+            LowStressRouteError,
+            match="^tseng lex-3: the low-stress route at width 5 ends with "
+            "overuse 5$",
+        ):
+            run_variant(tseng, "lex-3", effort=1.0, seed=0)
 
     def test_config_effort_scaling(self):
         low = replication_config("rt", effort=0.2)

@@ -4,7 +4,8 @@ import pytest
 
 from repro.bench import runner
 from repro.bench.suite import resolve_names
-from repro.cli import EXIT_MISSING, EXIT_USAGE, main as cli_main
+from repro.campaign.store import CampaignStore
+from repro.cli import EXIT_MISSING, main as cli_main
 
 RUN_FLAGS = [
     "--circuits", "tseng", "--algorithms", "rt",
@@ -27,22 +28,38 @@ class TestCampaignCli:
         report = capsys.readouterr().out
         assert "tseng" in report
 
-    def test_injected_failure_exits_nonzero_and_reports_partial(
-        self, capsys, tmp_path
-    ):
+    def test_overused_route_fails_once_per_invocation(self, capsys, tmp_path):
+        """Table III's committed config (tseng at 0.06, seed 0, effort
+        1.0): Lex-3's design does not route at the baseline's low-stress
+        width.  Each of run and resume launches the variant once and
+        fails it the same way; the baseline runs once."""
         camp = str(tmp_path / "camp")
-        code = cli_main([
-            "campaign", "run", camp, *RUN_FLAGS,
-            "--retries", "0", "--backoff", "0.01",
-            "--inject-fault", "variant/tseng@0.02/s0/rt=99",
-        ])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "variant/tseng@0.02/s0/rt" in err
+        variant = "variant/tseng@0.06/s0/lex-3"
+        error = (
+            "repro.bench.runner.LowStressRouteError: tseng lex-3: the "
+            "low-stress route at width 5 ends with overuse 5"
+        )
+        flags = ["--circuits", "tseng", "--algorithms", "lex-3",
+                 "--scale", "0.06"]
+        assert cli_main(["campaign", "run", camp, *flags]) == 1
+        assert f"  {variant}: {error}\n" in capsys.readouterr().err
+        store = CampaignStore.in_dir(camp)
+        row = {r["task_id"]: r for r in store.task_rows()}[variant]
+        assert row["status"] == "failed" and row["total_attempts"] == 1
+        assert row["error"].strip().splitlines()[-1] == error
         # a partial report is refused unless explicitly requested
         assert cli_main(["campaign", "report", camp]) == 2
         assert "no result" in capsys.readouterr().err
         assert cli_main(["campaign", "report", camp, "--partial"]) == 0
+        capsys.readouterr()
+
+        assert cli_main(["campaign", "resume", camp]) == 1
+        assert f"  {variant}: {error}\n" in capsys.readouterr().err
+        rows = {r["task_id"]: r for r in store.task_rows()}
+        assert rows[variant]["status"] == "failed"
+        assert rows[variant]["total_attempts"] == 2
+        assert rows[variant]["error"].strip().splitlines()[-1] == error
+        assert rows["baseline/tseng@0.06/s0"]["total_attempts"] == 1
 
     def test_missing_store_paths_exit_3(self, capsys, tmp_path):
         nowhere = str(tmp_path / "nowhere")
@@ -64,20 +81,6 @@ class TestCampaignCli:
         capsys.readouterr()
         assert cli_main(["campaign", "run", camp, *RUN_FLAGS]) == 2
         assert "campaign_resume" in capsys.readouterr().err
-
-    def test_bad_inject_fault_spec(self, capsys, tmp_path):
-        for spec in ("not-a-spec", "TASK=abc", "=3"):
-            code = cli_main([
-                "campaign", "run", str(tmp_path / "camp"), *RUN_FLAGS,
-                "--inject-fault", spec,
-            ])
-            assert code == EXIT_USAGE, spec
-            err = capsys.readouterr().err
-            assert err == (
-                f"repro campaign run: bad --inject-fault {spec!r} "
-                "(expected TASK=N)\n"
-            )
-        assert not (tmp_path / "camp").exists()
 
     def test_unknown_circuit_rejected_up_front(self, capsys, tmp_path):
         code = cli_main([

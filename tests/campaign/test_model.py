@@ -1,5 +1,7 @@
 """Task model: deterministic ids, matrix structure, config validation."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.campaign.model import (
@@ -83,13 +85,21 @@ class TestConfig:
             config(circuits=[])
         with pytest.raises(ValueError):
             config(seeds=[])
-        with pytest.raises(ValueError):
-            config(retries=-1)
 
     def test_round_trip(self):
-        original = config(
-            timeout=12.5, retries=3, faults={"baseline/tseng@0.08/s0": 2}
-        )
+        original = config(seeds=[0, 3], jobs=2, perf=True)
         restored = CampaignConfig.from_dict(original.to_dict())
         assert restored == original
-        assert restored.max_attempts == 4
+
+    def test_fault_handling_fields_are_gone(self):
+        """A task runs once per invocation: no field sets a time limit,
+        a rerun count, a rerun delay or faults for tests, and a stored
+        config that holds them reads without them."""
+        retired = {"timeout", "retries", "backoff", "faults"}
+        assert retired.isdisjoint(field.name for field in fields(CampaignConfig))
+        stored = {
+            **config().to_dict(),
+            "timeout": 60.0, "retries": 2, "backoff": 0.5,
+            "faults": {"baseline/tseng@0.08/s0": 1},
+        }
+        assert CampaignConfig.from_dict(stored) == config()

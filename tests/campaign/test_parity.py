@@ -60,18 +60,19 @@ class TestKillResumeParity:
 
     def test_kill_resume_report_is_byte_identical(self, tmp_path):
         camp = tmp_path / "camp"
-        # A hang fault on the *last* baseline makes the campaign provably
+        # A hang on the *last* baseline makes the campaign provably
         # mid-task once everything before it is done — no race between
-        # the kill signal and campaign completion.
+        # the kill signal and campaign completion.  The module run here
+        # is ``campaign run`` with the hanging worker function.
         proc = subprocess.Popen(
             [
-                sys.executable, "-m", "repro", "campaign", "run", str(camp),
+                sys.executable, "-m", "tests.campaign.fake_workers",
+                "--hang", "baseline/apex4@0.02/s0", str(camp),
                 "--circuits", ",".join(self.CIRCUITS),
                 "--algorithms", "rt",
                 "--scale", str(SCALE),
                 "--effort", str(EFFORT),
                 "--jobs", "2",
-                "--inject-fault", "baseline/apex4@0.02/s0=-1",
             ],
             env={**os.environ, "PYTHONPATH": "src"},
             cwd=Path(__file__).resolve().parents[2],

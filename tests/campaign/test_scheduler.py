@@ -1,30 +1,34 @@
-"""Scheduler fault tolerance: retry, timeout, degradation, workers."""
+"""Scheduler: one launch per task per invocation, degradation, workers."""
+
+import multiprocessing
 
 import pytest
 
+from repro import api
 from repro.bench.suite import ensure_suite_design
 from repro.campaign.model import CampaignConfig, build_matrix
 from repro.campaign.scheduler import CampaignScheduler, execute_task
 from repro.campaign.store import CampaignStore
 from repro.netlist.store import NetlistStore
+from tests.campaign.fake_workers import FailOn, HangOn
 
 SCALE = 0.02  # smallest suite scale: baselines run in well under a second
 
-RAISE, HANG = 1, -1  # fault codes (see CampaignConfig.faults)
+TSENG = "baseline/tseng@0.02/s0"
+TSENG_RT = "variant/tseng@0.02/s0/rt"
+EX5P = "baseline/ex5p@0.02/s0"
 
 
-def make_campaign(tmp_path, **overrides):
+def make_campaign(camp, **overrides):
     settings = dict(
         circuits=["tseng"],
         algorithms=["rt"],
         scale=SCALE,
         effort=0.2,
-        retries=2,
-        backoff=0.01,
     )
     settings.update(overrides)
     config = CampaignConfig(**settings)
-    store = CampaignStore.in_dir(tmp_path / "camp")
+    store = CampaignStore.in_dir(camp)
     store.add_tasks(build_matrix(config))
     store.set_meta("config", config.to_dict())
     return store, config
@@ -35,75 +39,96 @@ def rows_by_id(store):
 
 
 class TestScheduler:
-    def test_transient_fault_is_retried(self, tmp_path):
-        store, config = make_campaign(tmp_path)
-        attempts_seen = []
-
-        def fail_first_baseline_attempt(task_id, attempt):
-            attempts_seen.append((task_id, attempt))
-            if task_id.startswith("baseline/") and attempt == 1:
-                return RAISE
-            return 0
-
-        summary = CampaignScheduler(
-            store, config, fault_hook=fail_first_baseline_attempt
-        ).run()
-        assert summary.ok and summary.done == 2 and summary.failed == 0
-        row = rows_by_id(store)["baseline/tseng@0.02/s0"]
-        assert row["attempts"] == 2 and row["total_attempts"] == 2
-        assert ("baseline/tseng@0.02/s0", 2) in attempts_seen
-        variant = store.result_of("variant/tseng@0.02/s0/rt")
-        assert variant["algorithm"] == "rt" and variant["circuit"] == "tseng"
-
-    def test_exhausted_retries_degrade_gracefully(self, tmp_path):
+    def test_failed_task_runs_once_and_skips_dependents(self, tmp_path):
         store, config = make_campaign(
-            tmp_path,
-            circuits=["tseng", "ex5p"],
-            retries=1,
-            jobs=2,
-            faults={"baseline/tseng@0.02/s0": 99},
+            tmp_path / "camp", circuits=["tseng", "ex5p"], jobs=2
         )
-        summary = CampaignScheduler(store, config).run()
+        summary = CampaignScheduler(store, config, worker=FailOn(TSENG)).run()
         assert not summary.ok
         assert (summary.done, summary.failed, summary.skipped) == (2, 1, 1)
         by_id = rows_by_id(store)
-        failed = by_id["baseline/tseng@0.02/s0"]
-        assert failed["status"] == "failed"
-        assert failed["attempts"] == config.max_attempts == 2
-        assert "injected fault" in failed["error"]
-        skipped = by_id["variant/tseng@0.02/s0/rt"]
+        failed = by_id[TSENG]
+        assert failed["status"] == "failed" and failed["total_attempts"] == 1
+        assert failed["error"].startswith("Traceback")
+        assert f"RuntimeError: fake failure in {TSENG}" in failed["error"]
+        skipped = by_id[TSENG_RT]
         assert skipped["status"] == "skipped"
-        assert "baseline/tseng@0.02/s0" in skipped["error"]
+        assert skipped["total_attempts"] == 0
+        assert TSENG in skipped["error"]
         # the healthy circuit completed
         assert by_id["variant/ex5p@0.02/s0/rt"]["status"] == "done"
-        assert set(summary.failures) == {
-            "baseline/tseng@0.02/s0", "variant/tseng@0.02/s0/rt",
-        }
+        assert set(summary.failures) == {TSENG, TSENG_RT}
 
-    def test_timeout_kills_hung_worker(self, tmp_path):
-        store, config = make_campaign(
-            tmp_path,
-            retries=0,
-            timeout=1.0,
-            faults={"baseline/tseng@0.02/s0": HANG * 99},
-        )
-        summary = CampaignScheduler(store, config).run()
+    def test_each_resume_runs_a_failed_task_once_more(self, tmp_path):
+        store, config = make_campaign(tmp_path / "camp")
+        fail = FailOn(TSENG_RT)
+        for invocation in (1, 2):
+            store.reset_incomplete()  # what campaign_resume does first
+            summary = CampaignScheduler(store, config, worker=fail).run()
+            assert (summary.done, summary.failed) == (1, 1)
+            by_id = rows_by_id(store)
+            assert by_id[TSENG_RT]["total_attempts"] == invocation
+            assert by_id[TSENG]["total_attempts"] == 1  # done: never re-run
+
+    def test_resume_after_a_failure_reports_like_a_clean_campaign(
+        self, tmp_path
+    ):
+        """A failure that does not repeat on resume leaves no trace in
+        the reports."""
+        flags = dict(circuits="tseng", algorithms="rt", scale=SCALE, effort=0.2)
+        assert api.campaign_run(tmp_path / "clean", **flags).ok
+        store, config = make_campaign(tmp_path / "camp")
+        summary = CampaignScheduler(store, config, worker=FailOn(TSENG)).run()
         assert (summary.failed, summary.skipped) == (1, 1)
-        assert "timed out" in rows_by_id(store)["baseline/tseng@0.02/s0"]["error"]
+
+        resumed = api.campaign_resume(tmp_path / "camp")
+        assert resumed.ok and resumed.done == 2
+        for experiment in ("table1", "table2"):
+            assert api.campaign_report(
+                tmp_path / "camp", experiment
+            ) == api.campaign_report(tmp_path / "clean", experiment)
+
+    def test_fakes_run_under_spawn(self, tmp_path):
+        """The worker function travels to a spawned worker by pickle."""
+        store, config = make_campaign(tmp_path / "camp")
+        summary = CampaignScheduler(
+            store, config, worker=FailOn(TSENG_RT),
+            mp_context=multiprocessing.get_context("spawn"),
+        ).run()
+        assert (summary.done, summary.failed) == (1, 1)
+        assert "fake failure" in rows_by_id(store)[TSENG_RT]["error"]
+
+    def test_interrupt_hands_running_rows_back_to_pending(self, tmp_path):
+        """Ctrl-C mid-task (raised here from the echo of the first
+        finished task) kills the hung worker and leaves its row pending
+        for the next invocation."""
+        store, config = make_campaign(
+            tmp_path / "camp", circuits=["tseng", "ex5p"], jobs=2
+        )
+
+        def interrupt_when_done(message):
+            if message.startswith("done"):
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            CampaignScheduler(
+                store, config, worker=HangOn(EX5P), echo=interrupt_when_done
+            ).run()
+        by_id = rows_by_id(store)
+        assert by_id[TSENG]["status"] == "done"
+        assert by_id[EX5P]["status"] == "pending"
+        assert by_id[EX5P]["error"] == "interrupted"
+        assert api.campaign_resume(tmp_path / "camp").ok
 
     def test_orphaned_running_row_is_rescheduled(self, tmp_path):
         # A SIGKILLed scheduler leaves 'running' rows; a fresh run owns them.
-        store, config = make_campaign(tmp_path)
-        store.mark_running("baseline/tseng@0.02/s0", attempt=1)
+        store, config = make_campaign(tmp_path / "camp")
+        store.mark_running(TSENG)
         summary = CampaignScheduler(store, config).run()
         assert summary.ok and summary.done == 2
 
 
 class TestExecuteTask:
-    def test_injected_fault_raises(self):
-        with pytest.raises(RuntimeError, match="injected fault"):
-            execute_task({"task": {"task_id": "baseline/x"}, "inject": RAISE})
-
     def test_baseline_then_variant_payloads(self, tmp_path):
         tasks = build_matrix(
             CampaignConfig(circuits=["tseng"], algorithms=["rt"], scale=SCALE)

@@ -8,9 +8,11 @@ from repro import api
 from repro.bench.runner import run_vpr_baseline
 from repro.campaign.model import CampaignConfig, build_matrix
 from repro.campaign.report import load_config
+from repro.campaign.scheduler import CampaignScheduler
 from repro.campaign.store import CampaignStore, CampaignStoreError
 from repro.netlist.store import NetlistStore
 from tests.bench.test_roundtrip import inline_row
+from tests.campaign.fake_workers import FailOn
 
 
 @pytest.fixture
@@ -57,7 +59,7 @@ class TestTaskLifecycle:
     def test_transitions_and_result(self, store, tasks):
         store.add_tasks(tasks)
         base = tasks[0].task_id
-        store.mark_running(base, attempt=1)
+        store.mark_running(base)
         assert store.status_of(base) == "running"
         assert store.result_of(base) is None  # no result until done
         store.mark_done(base, {"min_width": 3}, 1.25)
@@ -69,28 +71,57 @@ class TestTaskLifecycle:
     def test_reset_incomplete_spares_done_rows(self, store, tasks):
         store.add_tasks(tasks)
         done, failed = tasks[0].task_id, tasks[1].task_id
-        store.mark_running(done, attempt=1)
+        store.mark_running(done)
         store.mark_done(done, {"min_width": 3}, 1.0)
-        store.mark_running(failed, attempt=1)
+        store.mark_running(failed)
         store.mark_failed(failed, "boom")
         assert store.reset_incomplete() == 1
         assert store.status_of(done) == "done"
         assert store.status_of(failed) == "pending"
-        # lifetime attempt counts survive the reset
+        # lifetime launch counts survive the reset
         row = {r["task_id"]: r for r in store.task_rows()}[failed]
-        assert row["total_attempts"] == 1 and row["attempts"] == 0
+        assert row["total_attempts"] == 1
 
     def test_total_attempts_accumulates(self, store, tasks):
         store.add_tasks(tasks)
         task_id = tasks[0].task_id
-        for attempt in (1, 2):
-            store.mark_running(task_id, attempt=attempt)
+        for _ in range(2):
+            store.mark_running(task_id)
         row = {r["task_id"]: r for r in store.task_rows()}[task_id]
         assert row["total_attempts"] == 2
 
 
 #: The matrix every old-store test resumes: one baseline, one variant.
 OLD_MATRIX = dict(circuits=["tseng"], algorithms=["rt"], scale=0.02, effort=0.2)
+
+#: ``tasks`` and ``task_stats`` as stores held them while a task could
+#: run several times per invocation: with a per-invocation ``attempts``
+#: count and each task's payload size.
+FAULT_HANDLING_SCHEMA = """
+CREATE TABLE tasks (
+    task_id    TEXT PRIMARY KEY,
+    idx        INTEGER NOT NULL,
+    kind       TEXT NOT NULL,
+    circuit    TEXT NOT NULL,
+    algorithm  TEXT,
+    seed       INTEGER NOT NULL,
+    scale      REAL NOT NULL,
+    deps       TEXT NOT NULL DEFAULT '[]',
+    status     TEXT NOT NULL DEFAULT 'pending',
+    attempts   INTEGER NOT NULL DEFAULT 0,
+    total_attempts INTEGER NOT NULL DEFAULT 0,
+    seconds    REAL NOT NULL DEFAULT 0.0,
+    error      TEXT,
+    result     TEXT,
+    updated_at REAL
+);
+CREATE TABLE task_stats (
+    task_id       TEXT PRIMARY KEY,
+    payload_bytes INTEGER,
+    peak_rss_mb   REAL,
+    updated_at    REAL
+);
+"""
 
 
 @pytest.fixture(scope="module")
@@ -131,19 +162,15 @@ class TestOldStores:
         creates one of its own."""
         external = tmp_path / "external.sqlite"
         NetlistStore(external)  # the run created it before any task
-        config = CampaignConfig(
-            **OLD_MATRIX,
-            netlist_store=str(external),
-            retries=0,
-            faults={"variant/tseng@0.02/s0/rt": 1},
-        )
+        config = CampaignConfig(**OLD_MATRIX, netlist_store=str(external))
         store = CampaignStore.in_dir(tmp_path / "camp")
         store.set_meta("config", config.to_dict())
         store.add_tasks(build_matrix(config))
 
-        # The first resume runs the baseline and fails the variant; the
-        # second reads the done baseline's refs from the external store.
-        assert api.campaign_resume(tmp_path / "camp").done == 1
+        # The run does the baseline and fails the variant; the resume
+        # reads the done baseline's refs from the external store.
+        failing = FailOn("variant/tseng@0.02/s0/rt")
+        assert CampaignScheduler(store, config, worker=failing).run().done == 1
         assert api.campaign_resume(tmp_path / "camp").ok
         assert not (tmp_path / "camp" / "netlists.sqlite").exists()
         assert NetlistStore(external).design_keys() == ["tseng@0.02"]
@@ -240,21 +267,70 @@ class TestOldStores:
                 tmp_path / "old", experiment
             ) == api.campaign_report(tmp_path / "fresh", experiment)
 
-    @pytest.mark.parametrize("timeout", [0.0, float("nan")])
-    def test_unchecked_timeout_that_meant_none(self, store, timeout):
-        """Before timeouts were checked, a stored 0 or NaN meant no
-        timeout; it still does."""
-        config = CampaignConfig(circuits=["tseng"], algorithms=["rt"])
-        store.set_meta("config", {**config.to_dict(), "timeout": timeout})
-        assert load_config(store).timeout is None
+    @pytest.mark.parametrize("timeout", [3600.0, 0.0, float("nan"), -1.0])
+    def test_fault_handling_store_resumes_and_reports(
+        self, tmp_path, fresh_reports, timeout
+    ):
+        """A store written while campaigns could rerun a failed task in
+        the same invocation holds ``timeout`` (also the unchecked 0, NaN
+        and -1), ``retries``, ``backoff`` and a fault map in its config,
+        and per-invocation attempts and payload sizes in its tables.  It
+        resumes with the fault map unapplied, its status prints, and it
+        reports like a fresh campaign."""
+        camp = tmp_path / "camp"
+        camp.mkdir()
+        conn = sqlite3.connect(camp / "campaign.sqlite")
+        conn.executescript(FAULT_HANDLING_SCHEMA)
+        conn.close()
+        config = CampaignConfig(**OLD_MATRIX)
+        tasks = build_matrix(config)
+        store = CampaignStore.in_dir(camp)
+        store.set_meta("config", {
+            **config.to_dict(),
+            "timeout": timeout, "retries": 2, "backoff": 0.5,
+            "faults": {task.task_id: 99 for task in tasks},
+        })
+        store.add_tasks(tasks)
+        base, variant = (task.task_id for task in tasks)
+        conn = sqlite3.connect(store.path)
+        try:
+            with conn:
+                conn.execute(
+                    "UPDATE tasks SET status='failed', attempts=3, "
+                    "total_attempts=3, error='Traceback\nRuntimeError: boom' "
+                    "WHERE task_id=?", (base,),
+                )
+                conn.execute(
+                    "INSERT INTO task_stats VALUES(?, 2048, NULL, 0.0)",
+                    (base,),
+                )
+        finally:
+            conn.close()
+        store.mark_skipped(variant, f"skipped: dependency {base} failed")
+
+        status = api.campaign_status(camp).splitlines()
+        assert status[1:] == [
+            f"  failed   {base} — RuntimeError: boom",
+            f"  skipped  {variant} — skipped: dependency {base} failed",
+        ]
+        summary = api.campaign_resume(camp)
+        assert summary.ok and summary.done == 2
+        assert "2 done" in api.campaign_status(camp)
+        for experiment, report in fresh_reports.items():
+            assert api.campaign_report(camp, experiment) == report
 
     @pytest.mark.parametrize(
-        "key, value", [("timeout", -1.0), ("backoff", float("nan"))]
+        "key, value, message",
+        [("algorithms", ["rt", "nope"], "unknown algorithm"),
+         ("circuits", [], "campaign needs at least one circuit")],
     )
-    def test_invalid_stored_config_is_a_store_error(self, store, key, value):
+    def test_invalid_stored_config_is_a_store_error(
+        self, store, key, value, message
+    ):
         config = CampaignConfig(circuits=["tseng"], algorithms=["rt"])
         store.set_meta("config", {**config.to_dict(), key: value})
         with pytest.raises(
-            CampaignStoreError, match=f"stored campaign config is invalid: {key}"
+            CampaignStoreError,
+            match=f"stored campaign config is invalid: {message}",
         ):
             load_config(store)

@@ -4,9 +4,8 @@
   ``DIR/netlists.sqlite``; baseline workers park their placements
   there, and every baseline result row holds store keys
   (``netlist_ref``/``placement_ref``), never a serialized netlist.
-* **Stats** — every task gets ``payload_bytes`` and ``peak_rss_mb``
-  rows in the campaign store's ``task_stats`` table, surfaced by
-  ``campaign status``.
+* **Stats** — every task gets a ``peak_rss_mb`` row in the campaign
+  store's ``task_stats`` table, surfaced by ``campaign status``.
 
 That a store-backed campaign reports exactly what the in-memory runner
 prints is ``tests/campaign/test_parity.py``; old stores are
@@ -16,8 +15,11 @@ prints is ``tests/campaign/test_parity.py``; old stores are
 import pytest
 
 from repro import api
+from repro.campaign.model import CampaignConfig, build_matrix
+from repro.campaign.scheduler import CampaignScheduler
 from repro.campaign.store import CampaignStore
 from repro.netlist.store import NetlistStore
+from tests.campaign.fake_workers import FailOn
 
 SCALE, EFFORT, SEED = 0.05, 0.2, 0
 
@@ -63,24 +65,24 @@ class TestCampaignStore:
         stats = CampaignStore.in_dir(campaign).task_stats()
         assert len(stats) == 4
         for row in stats.values():
-            assert row["payload_bytes"] > 0
+            assert set(row) == {"peak_rss_mb"}
             assert row["peak_rss_mb"] > 0
         status = api.campaign_status(campaign)
-        assert "task stats:" in status
-        assert "worker peak RSS" in status
+        assert status.splitlines()[-1] == (
+            f"task stats: worker peak RSS max "
+            f"{max(row['peak_rss_mb'] for row in stats.values()):.1f} MB"
+        )
 
     def test_resume_reads_the_campaign_store(self, tmp_path):
         camp = tmp_path / "camp"
-        summary = api.campaign_run(
-            camp,
-            circuits=["tseng"],
-            algorithms=["rt"],
-            scale=SCALE,
-            effort=EFFORT,
-            jobs=1,
-            faults={f"variant/tseng@{SCALE:g}/s{SEED}/rt": 1},
-            retries=0,
+        config = CampaignConfig(
+            circuits=["tseng"], algorithms=["rt"], scale=SCALE, effort=EFFORT
         )
+        store = CampaignStore.in_dir(camp)
+        store.set_meta("config", config.to_dict())
+        store.add_tasks(build_matrix(config))
+        variant = f"variant/tseng@{SCALE:g}/s{SEED}/rt"
+        summary = CampaignScheduler(store, config, worker=FailOn(variant)).run()
         assert not summary.ok
         resumed = api.campaign_resume(camp)
         assert resumed.ok

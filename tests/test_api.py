@@ -47,9 +47,14 @@ class TestLoadDesign:
 
     def test_no_call_takes_a_netlist_store(self):
         """Only a campaign keeps designs in a netlist store, always its
-        own: neither loading a design nor starting a campaign names one."""
+        own: neither loading a design nor starting a campaign names one.
+        Nor does a campaign take fault handling: each task runs once per
+        invocation."""
         for call in (api.load_design, api.campaign_run):
             assert "netlist_store" not in inspect.signature(call).parameters
+        assert {"timeout", "retries", "backoff", "faults"}.isdisjoint(
+            inspect.signature(api.campaign_run).parameters
+        )
 
 
 class TestPlaceOptimizeEvaluate:
