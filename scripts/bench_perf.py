@@ -18,7 +18,9 @@ Each phase is timed as the best of ``--repeats`` runs (min is the right
 statistic for wall-clock micro-benchmarks: noise is strictly additive).
 The raw per-repeat samples and their median are recorded alongside the
 min (``samples`` / ``phases_median``), so a reader can judge how noisy
-each committed number was without re-running the harness.
+each committed number was without re-running the harness.  Each phase
+also stores the perf registry's span table and counters for its own
+work (``phase_perf``), the registry being reset as the phase starts.
 """
 
 from __future__ import annotations
@@ -324,34 +326,52 @@ PHASES = (
 
 def run_phases(
     repeats: int, quick: bool
-) -> tuple[dict[str, float], dict[str, list[float]]]:
-    """Returns ``(best-of timings, per-repeat samples)`` per phase."""
+) -> tuple[dict[str, float], dict[str, list[float]], dict[str, dict]]:
+    """Returns ``(best-of timings, per-repeat samples, perf)`` per phase.
+
+    The perf registry is reset at the start of each phase, so a phase's
+    ``perf`` entry (its span table and counters) holds that phase's
+    work alone, over all its repeats and its setup.
+    """
+    from repro.perf import PERF
+
     timings: dict[str, float] = {}
     samples: dict[str, list[float]] = {}
+    perf: dict[str, dict] = {}
 
-    def record(name: str, best: float) -> None:
-        timings[name] = best
+    def record(name: str, phase, *args) -> None:
+        PERF.reset()
+        timings[name] = phase(*args)
         samples[name] = [round(v, 6) for v in _best_of.samples]
+        snapshot = PERF.snapshot()
+        perf[name] = {
+            "counters": snapshot["counters"],
+            "timers": snapshot["timers"],
+        }
 
     # Millisecond-scale phases get extra repeats: at ~10ms a single
     # scheduler hiccup dominates best-of-3, which is what made earlier
     # committed numbers drift run to run.
     micro = max(repeats, 9)
-    record("place", phase_place(repeats, quick))
-    record("sta_full", phase_sta_full(repeats, quick))
-    record("sta_after_move", phase_sta_after_move(repeats, quick))
-    record("embedder_tree6", phase_embedder(6, micro))
-    record("embedder_tree12", phase_embedder(12, micro))
-    record("embedder_lex3", phase_embedder_lex3(micro))
-    record("netlist_load", phase_netlist_load(micro, quick))
-    record("legalizer", phase_legalizer(micro, quick))
-    record("flow_micro", phase_flow_micro(max(1, repeats - 1), quick))
-    record("route_winf", phase_route_winf(repeats, quick))
-    record("route_lowstress", phase_route_lowstress(max(1, repeats - 1), quick))
-    # The search is end-to-end (many negotiations per run), so it gets
-    # the fewest repeats.
-    record("wmin", phase_wmin(max(1, repeats - 2), quick))
-    return timings, samples
+    PERF.enable()
+    try:
+        record("place", phase_place, repeats, quick)
+        record("sta_full", phase_sta_full, repeats, quick)
+        record("sta_after_move", phase_sta_after_move, repeats, quick)
+        record("embedder_tree6", phase_embedder, 6, micro)
+        record("embedder_tree12", phase_embedder, 12, micro)
+        record("embedder_lex3", phase_embedder_lex3, micro)
+        record("netlist_load", phase_netlist_load, micro, quick)
+        record("legalizer", phase_legalizer, micro, quick)
+        record("flow_micro", phase_flow_micro, max(1, repeats - 1), quick)
+        record("route_winf", phase_route_winf, repeats, quick)
+        record("route_lowstress", phase_route_lowstress, max(1, repeats - 1), quick)
+        # The search is end-to-end (many negotiations per run), so it gets
+        # the fewest repeats.
+        record("wmin", phase_wmin, max(1, repeats - 2), quick)
+    finally:
+        PERF.disable()
+    return timings, samples, perf
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -372,11 +392,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.perf import PERF, sample_peak_rss
+    from repro.perf import sample_peak_rss
 
-    PERF.enable()
-    PERF.reset()
-    timings, samples = run_phases(args.repeats, args.quick)
+    timings, samples, perf = run_phases(args.repeats, args.quick)
 
     report: dict = {
         "meta": {
@@ -396,13 +414,9 @@ def main(argv: list[str] | None = None) -> int:
             name: round(_median(vals), 6) for name, vals in samples.items()
         },
         "samples": samples,
+        "phase_perf": perf,
+        "maxes": {"peak_rss_mb": sample_peak_rss()},
     }
-    PERF.record_max("peak_rss_mb", sample_peak_rss())
-    snapshot = PERF.snapshot()
-    report["counters"] = snapshot["counters"]
-    report["timers"] = snapshot["timers"]
-    if snapshot.get("maxes"):
-        report["maxes"] = snapshot["maxes"]
 
     width = max(len(name) for name in timings)
     if args.baseline is not None and args.baseline.exists():

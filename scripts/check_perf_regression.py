@@ -16,9 +16,10 @@ column recorded in the committed baseline (regenerate with
 comparable column the gate passes with a notice rather than comparing
 apples to oranges.
 
-The routing hot-path timers (``--gate-timers``, default
-``route.negotiate`` and ``route.wmin``) are gated the same way,
-against the baseline's ``timers`` (same-shape runs) or ``quick_timers``
+The routing hot-path spans (``--gate-timers``, default
+``route.negotiate`` and ``route.wmin``) are gated the same way by their
+inclusive time in the ``wmin`` phase's own span table, against the
+baseline's ``phase_perf`` (same-shape runs) or ``quick_phase_perf``
 (quick run vs committed full baseline) column.
 """
 
@@ -30,9 +31,18 @@ import sys
 from pathlib import Path
 
 
+#: The phase whose span table the ``--gate-timers`` spans are read from.
+GATE_PHASE = "wmin"
+
+
 def load_phases(path: Path) -> dict:
     data = json.loads(path.read_text())
     return data
+
+
+def _phase_timers(report: dict, column: str) -> dict[str, dict]:
+    """The :data:`GATE_PHASE` span table of ``report[column]`` ({} if absent)."""
+    return report.get(column, {}).get(GATE_PHASE, {}).get("timers", {})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -55,8 +65,8 @@ def main(argv: list[str] | None = None) -> int:
         "--gate-timers",
         default="route.negotiate,route.wmin",
         metavar="CSV",
-        help="PERF timers gated like phases on same-shape runs "
-        "(empty to disable)",
+        help="spans gated like phases, by their inclusive time in the "
+        f"{GATE_PHASE} phase (empty to disable)",
     )
     args = parser.parse_args(argv)
 
@@ -70,11 +80,9 @@ def main(argv: list[str] | None = None) -> int:
     cur_quick = bool(current.get("meta", {}).get("quick"))
     base_quick = bool(baseline.get("meta", {}).get("quick"))
     if cur_quick == base_quick:
-        base_phases: dict[str, float] = baseline.get("phases", {})
-        column = "phases"
+        prefix = ""
     elif cur_quick and "quick_phases" in baseline:
-        base_phases = baseline["quick_phases"]
-        column = "quick_phases"
+        prefix = "quick_"
     else:
         print(
             f"perf gate: no comparable baseline column "
@@ -82,6 +90,8 @@ def main(argv: list[str] | None = None) -> int:
             f"no quick_phases recorded) — skipping gate"
         )
         return 0
+    column = prefix + "phases"
+    base_phases: dict[str, float] = baseline.get(column, {})
 
     failures = []
     width = max((len(name) for name in cur_phases), default=5)
@@ -103,21 +113,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{name:<{width}}  {base_s:>10.4f}  {cur_s:>10.4f}  "
               f"{ratio:>5.2f}x{flag}")
 
-    # Named PERF timers (the routing hot paths) are gated like phases,
-    # but only between same-shape runs: the committed full-size timer
-    # totals say nothing about a --quick run's absolute numbers.
+    # Named spans (the routing hot paths) are gated like phases, by
+    # their inclusive time in the one phase that runs a W_min search on
+    # its own, read from each run's per-phase span table.
     gated_timers = [t for t in args.gate_timers.split(",") if t]
-    if cur_quick == base_quick:
-        base_timers: dict[str, float] = baseline.get("timers", {})
-    elif cur_quick and "quick_timers" in baseline:
-        base_timers = baseline["quick_timers"]
-    else:
-        base_timers = {}
+    base_timers = _phase_timers(baseline, prefix + "phase_perf")
+    cur_timers = _phase_timers(current, "phase_perf")
     if gated_timers and base_timers:
-        cur_timers: dict[str, float] = current.get("timers", {})
         for name in gated_timers:
-            cur_s = cur_timers.get(name)
-            base_s = base_timers.get(name)
+            cur_s = cur_timers.get(name, {}).get("inclusive_s")
+            base_s = base_timers.get(name, {}).get("inclusive_s")
             if cur_s is None or not base_s:
                 print(f"timer {name}: not present in both runs, not gated")
                 continue
@@ -128,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
             elif ratio > 1.0 + args.threshold:
                 failures.append((f"timer {name}", base_s, cur_s, ratio))
                 flag = "  REGRESSION"
-            print(f"timer {name}: {base_s:.4f}s -> {cur_s:.4f}s  "
+            print(f"timer {name} [{GATE_PHASE}]: {base_s:.4f}s -> {cur_s:.4f}s  "
                   f"{ratio:.2f}x{flag}")
 
     if failures:

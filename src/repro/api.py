@@ -52,6 +52,7 @@ from repro.core.journal import FlowJournal
 from repro.netlist.blif import read_blif, write_blif
 from repro.netlist.netlist import Netlist
 from repro.netlist.validate import validate_netlist
+from repro.perf import PERF
 from repro.place.hpwl import total_wirelength
 from repro.place.placement import Placement
 from repro.place.serialize import placement_from_json, placement_to_json
@@ -62,7 +63,6 @@ from repro.route.metrics import (
     routed_critical_delay,
 )
 from repro.timing.sta import analyze
-from repro.trace import start_tracing, stop_tracing
 
 CONFIG_FILE = "config.json"
 JOURNAL_FILE = "journal.jsonl"
@@ -277,20 +277,15 @@ def optimize(
         else None
     )
 
-    if trace_path is not None:
-        start_tracing()
     start = time.perf_counter()
+    trace_metadata = {"design": design.source, "config_hash": config_hash(config)}
     try:
-        optimizer = ReplicationOptimizer(design.netlist, placement, config)
-        result = optimizer.run(journal=journal, checkpointer=checkpointer)
+        with PERF.trace(trace_path, metadata=trace_metadata):
+            optimizer = ReplicationOptimizer(design.netlist, placement, config)
+            result = optimizer.run(journal=journal, checkpointer=checkpointer)
     finally:
         if journal is not None:
             journal.close()
-        if trace_path is not None:
-            stop_tracing(
-                trace_path,
-                metadata={"design": design.source, "config_hash": config_hash(config)},
-            )
     seconds = time.perf_counter() - start
     # Mirror the best snapshot back into the caller's objects.
     design.netlist.assign_from(result.netlist)
@@ -361,21 +356,16 @@ def resume(
     journal = FlowJournal(run_path / JOURNAL_FILE, mode="a")
     checkpointer = Checkpointer(run_path, every=every, config=config)
     trace_path = _trace_path(trace, run_path)
-    if trace_path is not None:
-        start_tracing()
     start = time.perf_counter()
+    trace_metadata = {"resumed": True, "config_hash": config_hash(config)}
     try:
-        optimizer = ReplicationOptimizer(state.netlist, state.placement, config)
-        result = optimizer.run(
-            journal=journal, checkpointer=checkpointer, resume_state=state
-        )
+        with PERF.trace(trace_path, metadata=trace_metadata):
+            optimizer = ReplicationOptimizer(state.netlist, state.placement, config)
+            result = optimizer.run(
+                journal=journal, checkpointer=checkpointer, resume_state=state
+            )
     finally:
         journal.close()
-        if trace_path is not None:
-            stop_tracing(
-                trace_path,
-                metadata={"resumed": True, "config_hash": config_hash(config)},
-            )
     out = OptimizeResult(
         result=result, seconds=time.perf_counter() - start, run_dir=run_path
     )

@@ -17,7 +17,6 @@ full-suite run tractable in pure Python).
 from __future__ import annotations
 
 import argparse
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -402,7 +401,7 @@ def main(argv: list[str] | None = None) -> int:
         "--perf-json",
         default=None,
         metavar="PATH",
-        help="overhead only: dump the perf counter/timer snapshot as JSON",
+        help="overhead only: dump the perf span/counter snapshot as JSON",
     )
     args = parser.parse_args(argv)
 
@@ -462,9 +461,7 @@ def main(argv: list[str] | None = None) -> int:
         print()
         print(PERF.format())
         if args.perf_json:
-            with open(args.perf_json, "w") as handle:
-                json.dump(PERF.snapshot(), handle, indent=2, sort_keys=True)
-                handle.write("\n")
+            PERF.write_snapshot(args.perf_json)
             print(f"perf snapshot written to {args.perf_json}")
     return 0
 

@@ -70,52 +70,48 @@ def execute_task(payload: dict) -> dict:
 
     task = payload["task"]
     perf_on = payload.get("perf", False)
-    trace_on = payload.get("trace", False)
     campaign_dir = payload.get("campaign_dir")
+    name = artifact_name(task["task_id"])
+    trace_path = (
+        Path(campaign_dir) / TRACE_DIR / f"{name}.json"
+        if payload.get("trace", False) and campaign_dir is not None
+        else None
+    )
     nl_store = NetlistStore(payload["netlist_store"])
     if perf_on:
         PERF.reset()
         PERF.enable()
-    if trace_on:
-        from repro.trace import start_tracing
-
-        start_tracing()
     try:
-        if task["kind"] == "baseline":
-            dkey = design_key(task["circuit"], task["scale"])
-            run = measure_baseline(
-                task["circuit"],
-                nl_store.load_array(dkey),
-                nl_store.min_square_arch(dkey),
+        with PERF.trace(trace_path, metadata={"task": task["task_id"]}):
+            if task["kind"] == "baseline":
+                dkey = design_key(task["circuit"], task["scale"])
+                run = measure_baseline(
+                    task["circuit"],
+                    nl_store.load_array(dkey),
+                    nl_store.min_square_arch(dkey),
+                    seed=task["seed"],
+                )
+                # Park the placement next to the design, so the result row
+                # (and the variant payloads built from it) carry keys, never
+                # a serialized netlist.
+                nl_store.save_placement(
+                    task["task_id"], run.placement, design_key=dkey
+                )
+                return run.to_dict(dkey, task["task_id"])
+            baseline = BaselineRun.from_dict(payload["baseline"], store=nl_store)
+            run = run_variant(
+                baseline,
+                task["algorithm"],
+                effort=payload.get("effort", 1.0),
                 seed=task["seed"],
             )
-            # Park the placement next to the design, so the result row
-            # (and the variant payloads built from it) carry keys, never
-            # a serialized netlist.
-            nl_store.save_placement(task["task_id"], run.placement, design_key=dkey)
-            return run.to_dict(dkey, task["task_id"])
-        baseline = BaselineRun.from_dict(payload["baseline"], store=nl_store)
-        run = run_variant(
-            baseline,
-            task["algorithm"],
-            effort=payload.get("effort", 1.0),
-            seed=task["seed"],
-        )
-        return run.to_dict()
+            return run.to_dict()
     finally:
-        name = artifact_name(task["task_id"])
         if perf_on:
             PERF.record_max("peak_rss_mb", sample_peak_rss())
             PERF.disable()
             if campaign_dir is not None:
                 PERF.write_snapshot(Path(campaign_dir) / PERF_DIR / f"{name}.json")
-        if trace_on and campaign_dir is not None:
-            from repro.trace import stop_tracing
-
-            stop_tracing(
-                Path(campaign_dir) / TRACE_DIR / f"{name}.json",
-                metadata={"task": task["task_id"]},
-            )
 
 
 def _worker_main(conn, worker, payload: dict) -> None:

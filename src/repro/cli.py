@@ -36,8 +36,7 @@ from repro.bench.suite import SPEC_BY_NAME, non_negative_effort, positive_scale
 from repro.core.checkpoint import CheckpointError
 from repro.core.config import RunConfig
 from repro.netlist.netlist import NetlistError
-from repro.perf import PERF
-from repro.trace import summarize_trace
+from repro.perf import PERF, format_span_table, sample_peak_rss, trace_span_table
 from repro.viz import render_history, render_placement
 
 #: Exit codes: user errors get distinct nonzero codes and a one-line
@@ -108,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--effort", type=non_negative_effort, default=1.0,
                      help="replication-flow effort dial")
     run.add_argument("--perf", action="store_true",
-                     help="print perf counters/timers after the flow")
+                     help="print perf spans/counters after the command")
     run.add_argument("--route", action="store_true",
                      help="run low-stress + infinite routing at the end")
     run.add_argument("--run-dir", type=Path,
@@ -150,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     view = sub.add_parser("trace-view", help="summarize a Chrome trace")
     view.add_argument("trace_file", type=Path)
     view.add_argument("--limit", type=_non_negative_int, default=20,
-                      help="show the top N spans by total time")
+                      help="show the top N spans by self time")
     view.set_defaults(func=cmd_trace_view)
 
     campaign = sub.add_parser(
@@ -261,6 +260,33 @@ def cmd_run(args) -> int:
         except ValueError as exc:
             raise CliError(str(exc), EXIT_USAGE) from None
     config = RunConfig.from_args(args)
+    if args.perf:
+        PERF.reset()
+        PERF.enable()
+    try:
+        design, placement = _place_replicate_route(args, config)
+    finally:
+        if args.perf:
+            PERF.disable()
+    if args.perf:
+        PERF.record_max("peak_rss_mb", sample_peak_rss())
+        print(PERF.format())
+
+    api.write_outputs(
+        design,
+        placement,
+        out_blif=args.out_blif,
+        out_placement=args.out_placement,
+    )
+    if args.out_blif is not None:
+        print(f"wrote {args.out_blif}")
+    if args.out_placement is not None:
+        print(f"wrote {args.out_placement}")
+    return 0
+
+
+def _place_replicate_route(args, config: RunConfig):
+    """``repro run``'s work: returns the final ``(design, placement)``."""
     design, placed = _load_and_place(args)
     placement = placed.placement
     if args.draw:
@@ -273,9 +299,6 @@ def cmd_run(args) -> int:
         )
 
     if args.algorithm != "none":
-        if args.perf:
-            PERF.reset()
-            PERF.enable()
         result = api.optimize(
             design,
             placement,
@@ -297,32 +320,11 @@ def cmd_run(args) -> int:
             print(render_placement(design.netlist, placement))
 
     if args.route:
-        if args.perf and not PERF.enabled:
-            PERF.reset()
-            PERF.enable()
         routed = api.route(design, placement)
         _print_routing(routed)
         if args.run_dir is not None:
             _record_route_result(args.run_dir, routed)
-
-    if args.perf and PERF.enabled:
-        from repro.perf import sample_peak_rss
-
-        PERF.record_max("peak_rss_mb", sample_peak_rss())
-        PERF.disable()
-        print(PERF.format())
-
-    api.write_outputs(
-        design,
-        placement,
-        out_blif=args.out_blif,
-        out_placement=args.out_placement,
-    )
-    if args.out_blif is not None:
-        print(f"wrote {args.out_blif}")
-    if args.out_placement is not None:
-        print(f"wrote {args.out_placement}")
-    return 0
+    return design, placement
 
 
 def cmd_route(args) -> int:
@@ -389,17 +391,11 @@ def cmd_trace_view(args) -> int:
             f"{args.trace_file} must hold a JSON object with traceEvents",
             EXIT_USAGE,
         )
-    rows = summarize_trace(trace)
-    if not rows:
+    table = trace_span_table(trace)
+    if not table:
         print("(no complete spans in trace)")
         return 0
-    width = max(len(row["name"]) for row in rows)
-    print(f"{'span':<{width}}  {'count':>6}  {'total ms':>10}  "
-          f"{'avg ms':>9}  {'max ms':>9}")
-    for row in rows[: args.limit]:
-        print(f"{row['name']:<{width}}  {row['count']:>6}  "
-              f"{row['total_ms']:>10.2f}  {row['avg_ms']:>9.3f}  "
-              f"{row['max_ms']:>9.3f}")
+    print(format_span_table(table, limit=args.limit))
     return 0
 
 

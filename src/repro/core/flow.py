@@ -43,7 +43,6 @@ from repro.timing.bounds import delay_lower_bound
 from repro.timing.incremental import IncrementalSTA
 from repro.timing.spt import build_spt
 from repro.timing.sta import Endpoint
-from repro.trace import TRACER
 
 
 @dataclass
@@ -256,96 +255,94 @@ class ReplicationOptimizer:
             sink = analysis.critical_endpoint
             if sink is None:
                 break
-            if TRACER.enabled:
-                TRACER.begin("flow.iteration", iteration=iteration)
+            with PERF.timer("flow.iteration", iteration=iteration) as span:
+                relocate_ff = (
+                    config.allow_ff_relocation
+                    and sink == state.last_sink
+                    and not state.last_improved
+                    and self.netlist.cells[sink[0]].is_ff
+                )
 
-            relocate_ff = (
-                config.allow_ff_relocation
-                and sink == state.last_sink
-                and not state.last_improved
-                and self.netlist.cells[sink[0]].is_ff
-            )
+                sink_arrival_before = analysis.endpoint_arrival.get(sink, 0.0)
+                eps = epsilon.get(sink, 0.0)
 
-            sink_arrival_before = analysis.endpoint_arrival.get(sink, 0.0)
-            eps = epsilon.get(sink, 0.0)
-
-            note = ""
-            replicated = unified = 0
-            info = self._replication_tree(analysis, sink, eps, relocate_ff)
-            if info is None:
-                note = "trivial tree"
-            else:
-                self._iter_stats["tree_nodes"] = len(info.tree)
-                self._iter_stats["tree_movable"] = info.num_movable
-                snapshot_nl = self.netlist.clone()
-                snapshot_pl = self.placement.copy()
-                with PERF.timer("flow.embed"):
-                    picked = self._embed_and_pick(
-                        info, analysis, delay_before, relocate_ff
-                    )
-                if picked is None:
-                    note = "no embedding"
+                note = ""
+                replicated = unified = 0
+                info = self._replication_tree(analysis, sink, eps, relocate_ff)
+                if info is None:
+                    note = "trivial tree"
                 else:
-                    embedding, label = picked
-                    with PERF.timer("flow.apply"):
-                        replicated, unified = self._apply(info, embedding, label)
-                    # Intermediate degradation is tolerated (Section V-D
-                    # keeps the best snapshot for exactly this reason) —
-                    # legalization after a replication batch routinely
-                    # costs a little elsewhere before later iterations
-                    # win it back.  Only runaway steps are rolled back.
-                    limit = delay_before * (1.0 + config.degradation_allowance)
-                    with PERF.timer("flow.sta"):
-                        degraded = sta.analysis().critical_delay > limit + 1e-9
-                    if degraded and not relocate_ff:
-                        self.netlist.assign_from(snapshot_nl)
-                        self.placement.assign_from(snapshot_pl)
-                        replicated = unified = 0
-                        note = "reverted"
+                    self._iter_stats["tree_nodes"] = len(info.tree)
+                    self._iter_stats["tree_movable"] = info.num_movable
+                    snapshot_nl = self.netlist.clone()
+                    snapshot_pl = self.placement.copy()
+                    with PERF.timer("flow.embed"):
+                        picked = self._embed_and_pick(
+                            info, analysis, delay_before, relocate_ff
+                        )
+                    if picked is None:
+                        note = "no embedding"
+                    else:
+                        embedding, label = picked
+                        with PERF.timer("flow.apply"):
+                            replicated, unified = self._apply(info, embedding, label)
+                        # Intermediate degradation is tolerated (Section V-D
+                        # keeps the best snapshot for exactly this reason) —
+                        # legalization after a replication batch routinely
+                        # costs a little elsewhere before later iterations
+                        # win it back.  Only runaway steps are rolled back.
+                        limit = delay_before * (1.0 + config.degradation_allowance)
+                        with PERF.timer("flow.sta"):
+                            degraded = sta.analysis().critical_delay > limit + 1e-9
+                        if degraded and not relocate_ff:
+                            self.netlist.assign_from(snapshot_nl)
+                            self.placement.assign_from(snapshot_pl)
+                            replicated = unified = 0
+                            note = "reverted"
 
-            with PERF.timer("flow.sta"):
-                analysis = sta.analysis()
-            delay_after = analysis.critical_delay
-            sink_arrival_after = analysis.endpoint_arrival.get(
-                sink, sink_arrival_before
-            )
-            state.replicated_cum += replicated
-            # Fig. 14 semantics: "unified" counts copies that were created
-            # and later merged away, i.e. creations minus copies alive.
-            net_alive = EquivalenceIndex(self.netlist).total_replicas()
-            state.unified_cum = max(
-                state.unified_cum, max(0, state.replicated_cum - net_alive)
-            )
-            unified = state.unified_cum - (
-                history[-1].unified_cum if history else 0
-            )
-            record = IterationRecord(
-                iteration=iteration,
-                sink=sink,
-                epsilon=eps,
-                delay_before=delay_before,
-                delay_after=delay_after,
-                replicated=replicated,
-                unified=unified,
-                replicated_cum=state.replicated_cum,
-                unified_cum=state.unified_cum,
-                ff_relocated=relocate_ff,
-                note=note,
-                sink_improved=(
-                    delay_after <= delay_before + 1e-9
-                    and sink_arrival_after < sink_arrival_before - 1e-9
-                ),
-            )
-            history.append(record)
-            if TRACER.enabled:
-                TRACER.end(
-                    sink=list(sink),
-                    note=note,
+                with PERF.timer("flow.sta"):
+                    analysis = sta.analysis()
+                delay_after = analysis.critical_delay
+                sink_arrival_after = analysis.endpoint_arrival.get(
+                    sink, sink_arrival_before
+                )
+                state.replicated_cum += replicated
+                # Fig. 14 semantics: "unified" counts copies that were created
+                # and later merged away, i.e. creations minus copies alive.
+                net_alive = EquivalenceIndex(self.netlist).total_replicas()
+                state.unified_cum = max(
+                    state.unified_cum, max(0, state.replicated_cum - net_alive)
+                )
+                unified = state.unified_cum - (
+                    history[-1].unified_cum if history else 0
+                )
+                record = IterationRecord(
+                    iteration=iteration,
+                    sink=sink,
+                    epsilon=eps,
                     delay_before=delay_before,
                     delay_after=delay_after,
                     replicated=replicated,
                     unified=unified,
+                    replicated_cum=state.replicated_cum,
+                    unified_cum=state.unified_cum,
+                    ff_relocated=relocate_ff,
+                    note=note,
+                    sink_improved=(
+                        delay_after <= delay_before + 1e-9
+                        and sink_arrival_after < sink_arrival_before - 1e-9
+                    ),
                 )
+                history.append(record)
+                if span is not None:
+                    span.update(
+                        sink=list(sink),
+                        note=note,
+                        delay_before=delay_before,
+                        delay_after=delay_after,
+                        replicated=replicated,
+                        unified=unified,
+                    )
             if journal is not None:
                 journal.iteration(
                     record,

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from repro.arch.fpga import FpgaArch, Slot
 from repro.netlist.netlist import Netlist
+from repro.perf import PERF
 from repro.place.annealer import AnnealStats, anneal
 from repro.place.hpwl import crossing_factor
 from repro.place.initial import random_placement
@@ -388,20 +389,21 @@ def place_timing_driven(
         timing_tradeoff: λ blending timing vs wiring cost.
         criticality_exponent: Sharpness of the criticality weighting.
     """
-    placement = random_placement(netlist, arch, seed=seed)
-    evaluator = PlacementEvaluator(
-        netlist,
-        placement,
-        timing_tradeoff=timing_tradeoff,
-        criticality_exponent=criticality_exponent,
-    )
-    stats = anneal(
-        evaluator,
-        num_items=netlist.num_cells,
-        max_range=max(arch.width, arch.height),
-        seed=seed + 1,
-        inner_scale=inner_scale,
-    )
+    with PERF.timer("place"):
+        placement = random_placement(netlist, arch, seed=seed)
+        evaluator = PlacementEvaluator(
+            netlist,
+            placement,
+            timing_tradeoff=timing_tradeoff,
+            criticality_exponent=criticality_exponent,
+        )
+        stats = anneal(
+            evaluator,
+            num_items=netlist.num_cells,
+            max_range=max(arch.width, arch.height),
+            seed=seed + 1,
+            inner_scale=inner_scale,
+        )
     return placement, stats
 
 

@@ -33,8 +33,7 @@ width with fewer probes:
 
 Every probe runs in the caller's process.  With ``repro.perf`` enabled
 a search counts ``route.wmin.searches`` once and ``route.wmin.cold_probes``
-once per probe, and its wall time accrues under the ``route.wmin`` timer
-(a trace span when a tracer is attached).
+once per probe, and runs as one ``route.wmin`` span.
 """
 
 from __future__ import annotations

@@ -1,5 +1,8 @@
 """`repro campaign` subcommands: happy path, error codes, validation."""
 
+import json
+import os
+
 import pytest
 
 from repro.bench import runner
@@ -27,6 +30,22 @@ class TestCampaignCli:
         assert cli_main(["campaign", "report", camp, "table2"]) == 0
         report = capsys.readouterr().out
         assert "tseng" in report
+
+    def test_task_traces_carry_the_worker_pid(self, capsys, tmp_path):
+        """Each task runs, and traces, in a worker process of its own."""
+        camp = tmp_path / "camp"
+        assert cli_main([
+            "campaign", "run", str(camp), *RUN_FLAGS, "--jobs", "1", "--trace",
+        ]) == 0
+        traces = sorted((camp / "trace").glob("*.json"))
+        assert len(traces) == 2
+        pids = [
+            {event["pid"] for event in json.loads(path.read_text())["traceEvents"]}
+            for path in traces
+        ]
+        (first,), (second,) = pids
+        assert first != second
+        assert os.getpid() not in (first, second)
 
     def test_overused_route_fails_once_per_invocation(self, capsys, tmp_path):
         """Table III's committed config (tseng at 0.06, seed 0, effort

@@ -4,6 +4,7 @@ import pytest
 
 from repro.arch import FpgaArch
 from repro.netlist import Netlist
+from repro.perf import PERF
 from repro.place import (
     place_timing_driven,
     place_wirelength_driven,
@@ -86,3 +87,24 @@ class TestAnnealing:
         placement, _ = place_timing_driven(nl, arch, seed=1, inner_scale=0.3)
         placement.assert_complete(nl)
         assert placement.is_legal()
+
+
+class TestPlaceSpan:
+    def test_place_span_holds_the_placer_sta(self):
+        """``place`` opens once per placement; the full STA refreshes sit
+        inside it, so its self time is the anneal."""
+        PERF.reset()
+        PERF.enable()
+        try:
+            place_timing_driven(ladder_netlist(), FpgaArch(6, 6), seed=1,
+                                inner_scale=0.2)
+        finally:
+            PERF.disable()
+        timers = PERF.snapshot()["timers"]
+        PERF.reset()
+        place = timers["place"]
+        assert place["calls"] == 1
+        assert 0 < place["self_s"] < place["inclusive_s"]
+        assert place["inclusive_s"] - place["self_s"] == pytest.approx(
+            timers["sta.analyze"]["inclusive_s"], abs=1e-9
+        )

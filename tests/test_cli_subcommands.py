@@ -16,6 +16,7 @@ from repro.cli import (
     build_parser,
     main as cli_main,
 )
+from repro.perf import PERF
 
 RUN_FLAGS = [
     "--circuit", "tseng", "--scale", "0.03", "--effort", "0.2",
@@ -47,6 +48,31 @@ class TestRun:
         code = cli_main(["run", *RUN_FLAGS, "--trace", str(trace_file)])
         assert code == 0
         assert json.loads(trace_file.read_text())["traceEvents"]
+
+    def test_perf_covers_placement_without_replication(self, capsys):
+        """The registry is on from placement to the end, so a run with
+        no replication flow still reports the placer."""
+        code = cli_main(["run", *RUN_FLAGS, "--algorithm", "none", "--perf"])
+        assert code == 0
+        assert re.search(r"^  place\s+1\s", capsys.readouterr().out, re.M)
+        assert not PERF.enabled
+
+    def test_perf_with_trace_and_route(self, capsys, tmp_path):
+        """``--perf`` reports the whole command while ``--trace`` holds
+        the replication flow alone."""
+        trace_file = tmp_path / "t.json"
+        code = cli_main([
+            "run", *RUN_FLAGS, "--perf", "--trace", str(trace_file), "--route",
+        ])
+        assert code == 0
+        output = capsys.readouterr().out
+        for name in ("place", "flow.iteration", "route.wmin",
+                     "route.lowstress", "route.winf"):
+            assert re.search(rf"^  {re.escape(name)}\s", output, re.M), name
+        trace = json.loads(trace_file.read_text())
+        names = {event["name"] for event in trace["traceEvents"]}
+        assert "flow.iteration" in names
+        assert not names & {"place", "route.wmin", "route.lowstress", "route.winf"}
 
     def test_checkpoint_without_run_dir_fails(self, capsys, tmp_path):
         code = cli_main(["run", *RUN_FLAGS, "--checkpoint-every", "2"])
