@@ -304,12 +304,13 @@ def run_variant(
         history = opt.history
     seconds = time.perf_counter() - start
 
-    low = _routed_low_stress(
-        netlist, placement, baseline.min_width, baseline.name, algorithm
-    )
-    infinite = route_infinite(netlist, placement)
-    w_ls = routed_critical_delay(netlist, placement, low).critical_delay
-    w_inf = routed_critical_delay(netlist, placement, infinite).critical_delay
+    with PERF.timer("variant.reroute"):
+        low = _routed_low_stress(
+            netlist, placement, baseline.min_width, baseline.name, algorithm
+        )
+        infinite = route_infinite(netlist, placement)
+        w_ls = routed_critical_delay(netlist, placement, low).critical_delay
+        w_inf = routed_critical_delay(netlist, placement, infinite).critical_delay
     return VariantRun(
         circuit=baseline.name,
         algorithm=algorithm,
@@ -449,7 +450,10 @@ def main(argv: list[str] | None = None) -> int:
         total_pr = 0.0
         total_opt = 0.0
         for name in names:
-            baseline = make_baseline(name)
+            # This span and ``run_variant``'s ``variant.reroute`` keep the
+            # baselines' routes apart from the variants' in the span table.
+            with PERF.timer("baseline"):
+                baseline = make_baseline(name)
             run = run_variant(baseline, "rt", effort=args.effort, seed=args.seed)
             total_pr += baseline.place_route_seconds
             total_opt += run.seconds

@@ -22,6 +22,17 @@ embeddings of the subtree rooted at ``i`` *driven from* ``j``:
   every vertex when FF relocation frees it) and yields the final
   cost/delay trade-off curve.
 
+One pruning rule on top of the paper's: a label is never built or pushed
+once it cannot reach the root within ``delay_bound``.  Every label of
+node ``i`` at vertex ``v`` still pays ``G(i)``, the gate delays of
+``i``'s ancestors (the root's capture included), and — for schemes
+whose ``extend`` adds exactly the wire delay (RT, Lex-N, Lex-mc) and a
+fixed root — at least ``D(v)``, the shortest wire delay from ``v`` to the
+root; so a label whose primary delay plus ``G(i) + D(v)`` passes the
+bound is dead.  A dead label only dominates labels as dead as itself,
+so without a front cap the root front is exactly the unpruned DP's; with
+``max_labels_per_vertex`` the cap slots go to live labels only.
+
 Two paper-faithful details:
 
 * the fixed per-connection delay of the linear model is charged at join
@@ -54,6 +65,11 @@ from repro.core.solutions import (
 from repro.core.topology import FaninTree, TreeNode
 from repro.perf import PERF
 
+#: Float slack of the delay-bound lookahead (ns): far above the round-off
+#: of summing gate and wire delays in another order, far below any delay
+#: difference the flow acts on.
+_SLACK = 1e-9
+
 #: Placement cost callback: (tree node, vertex) -> cost (inf = forbidden).
 PlacementCostFn = Callable[[TreeNode, int], float]
 
@@ -70,9 +86,12 @@ class EmbedderOptions:
     Attributes:
         connection_delay: Fixed delay charged once per nonzero-length
             tree connection (match the architecture's linear model).
-        delay_bound: Labels whose primary delay exceeds this are pruned
-            (the flow passes the current critical delay — slower
-            solutions are never useful).  ``inf`` disables.
+        delay_bound: Labels that cannot reach the root within this are
+            pruned: a label's primary delay plus the gate delays still
+            ahead of it and (for additive-wire schemes and a fixed
+            root) its shortest wire delay to the root (the flow passes
+            the current critical delay — slower solutions are never
+            useful).  ``inf`` disables.
         max_labels_per_vertex: Optional cap on front size per (node,
             vertex); keeps worst-case work bounded on large graphs.
             ``0`` disables.
@@ -201,15 +220,18 @@ class FaninTreeEmbedder:
         with PERF.timer("embed.tree"):
             fronts: dict[int, dict[int, ParetoFront]] = {}
             root = tree.root
+            gates = self._gates_ahead(tree)
+            wire = self._wire_ahead(root)
             touched = 0
             for node in tree.postorder():
                 if node.index == root.index:
                     continue
+                limits = self._limits(gates[node.index], wire)
                 if node.is_leaf:
                     branch = self._compute_initial(node)
                 else:
-                    branch = self._join_tree(node, fronts)
-                node_fronts = self._gen_dijkstra(node, branch)
+                    branch = self._join_tree(node, fronts, limits)
+                node_fronts = self._gen_dijkstra(node, branch, limits)
                 fronts[node.index] = node_fronts
                 # Accumulate the diagnostic during the walk: children fronts
                 # are dropped right below, so a post-hoc sum would only see
@@ -227,6 +249,52 @@ class FaninTreeEmbedder:
             root_candidates=root_candidates,
             vertices_touched=touched,
         )
+
+    # ------------------------------------------------------------------
+    # Delay-bound lookahead
+    # ------------------------------------------------------------------
+
+    @staticmethod
+    def _gates_ahead(tree: FaninTree) -> dict[int, float]:
+        """``G(i)``: the gate delays of node ``i``'s strict ancestors, the
+        root's capture delay included — what every label of ``i`` still
+        pays through ``finalize`` on its way to the root."""
+        ahead = {tree.root.index: 0.0}
+        for node in reversed(tree.postorder()):  # parents before children
+            below = ahead[node.index] + node.gate_delay
+            for child in node.children:
+                ahead[child] = below
+        return ahead
+
+    def _wire_ahead(self, root: TreeNode) -> list[float] | None:
+        """``D(v)``: the shortest wire delay from ``v`` to the fixed root,
+        or ``None`` (``D = 0``) for a movable root and for schemes whose
+        ``extend`` does not add the edge's wire delay to the primary."""
+        if root.vertex is None or not self.scheme.additive_wire:
+            return None
+        return self.graph.distances_to(root.vertex)
+
+    def _limits(self, gates: float, wire: list[float] | None) -> list[float]:
+        """Per-vertex bound on the primary delay of one node's labels.
+
+        A label at ``v`` whose primary delay plus ``gates`` and ``D(v)``
+        exceeds ``delay_bound`` cannot reach the root within it: joins
+        take the max of the children and add connection and gate delays,
+        and wire adds at least ``D(v)``.  Such a label is never built or
+        pushed, and since it only ever dominates labels as dead as
+        itself, every surviving label is one the unpruned DP keeps; only
+        a ``max_labels_per_vertex`` cap sees the difference, as dead
+        labels no longer take its slots.  ``_SLACK`` absorbs the float
+        round-off of summing the lookahead in another order.
+        """
+        bound = self.options.delay_bound
+        size = self.graph.num_vertices
+        if math.isinf(bound) or (wire is None and not gates):
+            return [bound] * size
+        base = bound - gates + _SLACK
+        if wire is None:
+            return [base] * size
+        return [base - delay for delay in wire]
 
     # ------------------------------------------------------------------
     # ComputeInitial
@@ -250,7 +318,10 @@ class FaninTreeEmbedder:
     # ------------------------------------------------------------------
 
     def _join_tree(
-        self, node: TreeNode, fronts: dict[int, dict[int, ParetoFront]]
+        self,
+        node: TreeNode,
+        fronts: dict[int, dict[int, ParetoFront]],
+        limits: list[float],
     ) -> dict[int, list[Label]]:
         child_fronts = [fronts[child] for child in node.children]
         branch: dict[int, list[Label]] = {}
@@ -271,7 +342,9 @@ class FaninTreeEmbedder:
                     break
                 per_child.append(front.labels())
             else:
-                joined = self._join_at_vertex(node, vertex, per_child, p_ij)
+                joined = self._join_at_vertex(
+                    node, vertex, per_child, p_ij, limits[vertex]
+                )
                 if joined:
                     branch[vertex] = joined
         return branch
@@ -282,13 +355,15 @@ class FaninTreeEmbedder:
         vertex: int,
         per_child: list[list[Label]],
         p_ij: float,
+        delay_limit: float,
     ) -> list[Label]:
         """Fold children fronts with intermediate Pareto pruning.
 
         Partial combos are plain ``(cost, sort, key, bits, parts)`` tuples
         pruned with the same staircase / partial-order rules the fronts
         use — no probe :class:`Label` is ever allocated; real labels are
-        built only for the finalized survivors.
+        built only for the finalized survivors whose primary delay is
+        within ``delay_limit`` (see :meth:`_limits`).
         """
         scheme = self.scheme
         conn = self.options.connection_delay
@@ -341,13 +416,12 @@ class FaninTreeEmbedder:
                     for i in range(len(f_costs))
                 ]
             results: list[Label] = []
-            delay_bound = self.options.delay_bound
             node_index = node.index
             gate_delay = node.gate_delay
             for cost, key, _bits, parts in f_combos:
                 assert key is not None
                 final = key + gate_delay
-                if final > delay_bound:
+                if final > delay_limit:
                     continue
                 results.append(
                     Label(
@@ -450,13 +524,12 @@ class FaninTreeEmbedder:
                 combos = entries
 
         results: list[Label] = []
-        delay_bound = self.options.delay_bound
         primary = scheme.primary
         node_index = node.index
         for cost, _sort, key, _bits, parts in combos:
             assert key is not None
             final = scheme.finalize(key, node.gate_delay)
-            if primary(final) > delay_bound:
+            if primary(final) > delay_limit:
                 continue
             results.append(
                 Label(
@@ -488,7 +561,7 @@ class FaninTreeEmbedder:
         )
 
     def _gen_dijkstra(
-        self, node: TreeNode, branch: dict[int, list[Label]]
+        self, node: TreeNode, branch: dict[int, list[Label]], limits: list[float]
     ) -> dict[int, ParetoFront]:
         scheme = self.scheme
         extend = scheme.extend
@@ -502,7 +575,6 @@ class FaninTreeEmbedder:
         fronts: dict[int, BitAwareFront] = {}
         tick = 0
         cap = self.options.max_labels_per_vertex
-        bound = self.options.delay_bound
         perf = PERF if PERF.enabled else None
         fast = type(scheme) is MaxArrivalScheme
         heap: list = []
@@ -608,9 +680,9 @@ class FaninTreeEmbedder:
                 label_key = label.key
                 for index in range(indptr[vertex], indptr[vertex + 1]):
                     key = label_key + wire_delays[index]
-                    if key > bound:
-                        continue
                     target = targets[index]
+                    if key > limits[target]:
+                        continue  # cannot reach the root within the bound
                     new_cost = cost + wire_costs[index]
                     target_front = fronts.get(target)
                     if target_front is None:
@@ -664,9 +736,9 @@ class FaninTreeEmbedder:
             label_key = label.key
             for index in range(indptr[vertex], indptr[vertex + 1]):
                 key = extend(label_key, wire_delays[index])
-                if primary(key) > bound:
-                    continue
                 target = targets[index]
+                if primary(key) > limits[target]:
+                    continue  # cannot reach the root within the bound
                 new_cost = cost + wire_costs[index]
                 new_sort = sort_key(key)
                 target_front = fronts.get(target)
@@ -725,7 +797,9 @@ class FaninTreeEmbedder:
                 per_child.append(front.labels())
             else:
                 vertex_front = make_front(self.scheme)
-                for label in self._join_at_vertex(root, vertex, per_child, p_ij):
+                for label in self._join_at_vertex(
+                    root, vertex, per_child, p_ij, self.options.delay_bound
+                ):
                     result.insert(label)
                     if vertex_front.insert(label):
                         candidates.append(label)

@@ -15,6 +15,7 @@ replication trees.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -102,6 +103,31 @@ class EmbeddingGraph:
                 indptr.append(len(targets))
             self._csr = (indptr, targets, costs, delays)
         return self._csr
+
+    def distances_to(self, vertex: int) -> list[float]:
+        """Shortest wire delay from every vertex to ``vertex`` along the
+        directed edges (``inf`` where ``vertex`` cannot be reached).
+
+        Dijkstra from ``vertex`` over the reversed :meth:`csr` edges.
+        """
+        indptr, targets, _costs, delays = self.csr()
+        into: list[list[tuple[int, float]]] = [[] for _ in self._adjacency]
+        for u in range(len(into)):
+            for index in range(indptr[u], indptr[u + 1]):
+                into[targets[index]].append((u, delays[index]))
+        dist = [math.inf] * len(into)
+        dist[vertex] = 0.0
+        heap = [(0.0, vertex)]
+        while heap:
+            d, v = heapq.heappop(heap)
+            if d > dist[v]:
+                continue
+            for u, delay in into[v]:
+                step = d + delay
+                if step < dist[u]:
+                    dist[u] = step
+                    heapq.heappush(heap, (step, u))
+        return dist
 
     def base_cost(self, vertex: int) -> float:
         return self._base_cost[vertex]

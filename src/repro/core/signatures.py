@@ -46,6 +46,12 @@ class DelayScheme(ABC):
     #: and override :meth:`dominates`.
     total_order: bool = True
 
+    #: True when ``extend(key, d)`` raises ``primary(key)`` by exactly
+    #: ``d``.  The embedder then adds the shortest wire delay still to
+    #: the root to its delay-bound lookahead; schemes whose wire delay
+    #: depends on the key (quadratic stems, Elmore) leave it False.
+    additive_wire: bool = False
+
     def dominates(self, a: object, b: object) -> bool:
         """Partial order on delay keys: True if ``a`` is at least as good
         as ``b`` in every dimension.  Default: the total order."""
@@ -80,6 +86,7 @@ class MaxArrivalScheme(DelayScheme):
     """2-D cost/max-arrival signature (Section II-C)."""
 
     name = "RT-Embedding"
+    additive_wire = True
 
     def leaf_key(self, arrival: float, is_critical_input: bool = False) -> float:
         return arrival
@@ -107,6 +114,8 @@ class LexScheme(DelayScheme):
     order; missing entries compare as -inf.  ``Lex-1`` degenerates to
     :class:`MaxArrivalScheme` (and is tested to agree with it).
     """
+
+    additive_wire = True
 
     def __init__(self, order: int) -> None:
         if order < 1:
@@ -153,6 +162,7 @@ class LexMcScheme(DelayScheme):
     """
 
     name = "Lex-mc"
+    additive_wire = True
 
     def leaf_key(self, arrival: float, is_critical_input: bool = False) -> LexMcKey:
         if is_critical_input:

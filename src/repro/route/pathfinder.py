@@ -16,34 +16,39 @@ The router runs on the integer-indexed
 :class:`~repro.route.rrgraph.IndexedRoutingGraph`: per-sink heap searches
 expand over CSR neighbour arrays inside a bounding window that grows on
 failure, congested iterations read a per-iteration priced cost vector
-and use an admissible Manhattan-distance A* lookahead, and negotiation
-after the first iteration is *incremental* — only nets crossing an
-over-used segment are ripped up and re-routed, every other route tree is
-reused in place.
+and key their heap with an admissible Manhattan-distance A* lookahead,
+and negotiation after the first iteration is *incremental* — only nets
+crossing an over-used segment are ripped up and re-routed, every other
+route tree is reused in place.
 
 **Parity.**  The original tuple-keyed router is kept as a parity oracle
 in ``tests/route/oracle.py``.  Under ``W∞`` (and any uniform-cost
 search: no over-use, no history) every edge costs the same
-``crit + (1-crit) * 1.0`` step, so the lookahead weight drops to zero
-and the search becomes an exact replay of the reference Dijkstra:
-integer slot ids are assigned in ascending ``Slot``-tuple order, so the
-``(cost, id)`` heap pops in the reference's ``(cost, slot)`` order, the
-same ``1e-12`` strict-improvement rule applies, and neighbours are
-probed in the same (+x, -x, +y, -y) order.  W∞ results are therefore
-bit-identical — segments, per-net wirelength and sink hops — which
-``tests/route/test_parity.py`` enforces.  (Bounding the search window
-is exact here: every optimal parent chain in a uniform-cost grid is a
-monotone staircase between two points of the tree∪target bounding box,
-so no node outside the window can appear on, or parent into, a realized
-route.)  Congested iterations are where A* actually prunes; there the
-heuristics (lookahead tie-breaking, bounded windows, incremental
-rip-up) can steer negotiation onto a different — very occasionally
-worse — trajectory.  The router therefore *never reports failure on its
-own authority*: if the heuristic schedule ends with residual over-use,
-it re-runs once in **exact mode** (lookahead off, full-grid windows,
-full re-route every iteration), which replays the reference router
-decision-for-decision.  Consequently the router fails at a channel
-width only if the reference router also fails there, and the negotiated
+``crit + (1-crit) * 1.0`` step, the heap is keyed by cost alone and the
+search is an exact replay of the reference Dijkstra: integer slot ids
+are assigned in ascending ``Slot``-tuple order, so the ``(cost, id)``
+heap pops in the reference's ``(cost, slot)`` order, the same ``1e-12``
+strict-improvement rule applies, and neighbours are probed in the same
+(+x, -x, +y, -y) order.  There the lookahead only gates pushes: once
+the target's key is bounded, an entry whose cost plus the lookahead
+floor exceeds that bound is never pushed, which removes only entries
+that can neither reach the target in time nor parent into its chain,
+so the surviving entries pop in the same order.  W∞ results are
+therefore bit-identical — segments, per-net wirelength and sink hops —
+which ``tests/route/test_parity.py`` enforces.  (Bounding the search
+window is exact here: every optimal parent chain in a uniform-cost grid
+is a monotone staircase between two points of the tree∪target bounding
+box, so no node outside the window can appear on, or parent into, a
+realized route.)  Congested iterations are where A* reorders the
+search; there the heuristics (lookahead tie-breaking, bounded windows,
+incremental rip-up) can steer negotiation onto a different — very
+occasionally worse — trajectory.  The router therefore *never reports
+failure on its own authority*: if the heuristic schedule ends with
+residual over-use, it re-runs once in **exact mode** (heap keyed by
+cost, full-grid windows, full re-route every iteration), which replays
+the reference router decision-for-decision, with the same push gate as
+the uniform regime.  Consequently the router fails at a channel width
+only if the reference router also fails there, and the negotiated
 minimum channel width is never worse than the reference router's
 (property-tested in ``tests/route/test_parity.py``).
 """
@@ -222,14 +227,15 @@ def _search_to_target(
 
     The search is confined to ``bbox`` (grown by the caller on
     failure).  When the graph currently has neither over-use nor history
-    — every edge costs the uniform ``crit + (1-crit)`` step — the
-    lookahead weight is zero and this is an exact replay of the
-    reference Dijkstra (see module docstring); otherwise an admissible
-    Manhattan lookahead (per-hop floor, deflated by 1e-12 against float
-    round-up) prunes the expansion toward the sink.  Congested searches
-    read per-segment congestion from the graph's priced cost cache
-    (``ig.seg_cost``), which the caller must have refreshed at the
-    current present-sharing factor.
+    — every edge costs the uniform ``crit + (1-crit)`` step — the heap
+    is keyed by cost alone and this is an exact replay of the reference
+    Dijkstra (see module docstring); exact mode is keyed the same way.
+    Otherwise an admissible Manhattan lookahead (per-hop floor, deflated
+    by 1e-12 against float round-up) keys the heap and steers the
+    expansion toward the sink.  Congested searches read per-segment
+    congestion from the graph's priced cost cache (``ig.seg_cost``),
+    which the caller must have refreshed at the current present-sharing
+    factor.
 
     ``ub`` is an optional incumbent upper bound on the target's final
     heap key (see :func:`_route_net_fast`): the push gate starts from it
@@ -250,54 +256,61 @@ def _search_to_target(
     # Admissible per-hop floor: every edge costs >= crit + (1-crit)*1.0
     # (congestion cost is >= 1.0 always); the 1e-12 deflation keeps the
     # Manhattan product a strict lower bound under float round-up.
-    hfac = 0.0 if uniform or exact else (crit + one_minus) * (1.0 - 1e-12)
+    hstep = (crit + one_minus) * (1.0 - 1e-12)
+    keyed = not (uniform or exact)
     push = heappush
     pop = heappop
 
-    # Seeds are built in bulk and heapified (pop order is key order, and
-    # keys are unique in the slot id, so heapify vs sequential pushes is
-    # pop-for-pop identical).  The incumbent gate applies to seeds too:
-    # a seed whose key already exceeds ``ub`` would pop after the target
-    # and can never influence the realized parent chain — its per-node
-    # arrays are still written, exactly like a gate-pruned push.
+    # Heap-churn control: every pop is counted (so ``pops <= pushes`` is
+    # a conservation invariant), entries dominated by the per-node best
+    # array are skipped as *stale* before any expansion work, and — once
+    # the target's key is bounded by ``tbest`` — dead entries are never
+    # pushed at all.  An entry is dead when it would pop strictly after
+    # the target's heap entry (``(f, v) > (tbest, target)`` in heap
+    # order) or, in the searches keyed by cost alone, when even the
+    # lookahead floor cannot bring it to the target within ``tbest``
+    # (``c + h(v) > tbest + 1e-9``): the lookahead then gates pushes
+    # instead of keying the heap, so surviving entries keep their keys
+    # and their pop order.  The per-node arrays are still written for a
+    # dead entry, so domination tests behave exactly as if it sat in the
+    # heap; every node on the realized parent chain has ``c + h <=`` the
+    # target's final key ``<= tbest``, and a dead entry's successors are
+    # dead too (the floor is consistent), so a dead entry never
+    # influences the realized parent chain.  ``tbest`` starts from the
+    # caller's incumbent bound ``ub`` (+inf when none): any entry above
+    # a valid upper bound on the target's final key is equally dead on
+    # arrival, so the gate engages from the very first push instead of
+    # only after the target is first reached.  Pruning is thus exact,
+    # not heuristic, whenever ``ub`` upper-bounds the search's own
+    # optimum (guaranteed in exact mode; see the window caveat in
+    # :func:`_route_net_fast` for heuristic windows).  Seeds are built
+    # in bulk and heapified (pop order is key order, and keys are unique
+    # in the slot id, so heapify vs sequential pushes is pop-for-pop
+    # identical) and pass the same gates.
     tbest = ub if not uniform else math.inf  # target's current heap key bound
-    heap: list[tuple[float, int, float]] = []
+    tlim = tbest + 1e-9  # lookahead gate of the cost-keyed searches
+    heap: list = []
     add = heap.append
     for t in tree_nodes:
         seed = crit * hops[t]
         stamp[t] = gen
         best[t] = seed
         parent[t] = -1
-        if hfac:
-            dx = xs[t] - tx
-            dy = ys[t] - ty
-            f = seed + ((dx if dx >= 0 else -dx) + (dy if dy >= 0 else -dy)) * hfac
-        else:
-            f = seed
-        if f > tbest or (f == tbest and t > target):
+        if seed > tbest or (seed == tbest and t > target):
             continue  # would pop after the target: dead entry
-        add((f, t, seed))
+        dx = xs[t] - tx
+        dy = ys[t] - ty
+        h = (dx if dx >= 0 else -dx) + (dy if dy >= 0 else -dy)
+        if keyed:
+            f = seed + h * hstep
+            if f > tbest or (f == tbest and t > target):
+                continue
+            add((f, t, seed))
+        elif seed + h * hstep <= tlim:
+            add((seed, t))
     heapify(heap)
     pushes = len(heap)
 
-    # Heap-churn control: every pop is counted (so ``pops <= pushes`` is
-    # a conservation invariant), entries dominated by the per-node best
-    # array are skipped as *stale* before any expansion work, and — once
-    # the target's key is bounded — entries that would pop strictly
-    # after the target's heap entry (``(f, v) > (tbest, target)``
-    # in heap order) are never pushed at all.  The per-node arrays are
-    # still updated for pruned entries, so domination tests behave
-    # exactly as if the entry sat unpopped in the heap; since the
-    # target's key only ever improves, a pruned entry could never have
-    # been popped before the target and therefore never influences the
-    # realized parent chain.  ``tbest`` starts from the caller's
-    # incumbent bound ``ub`` (+inf when none): any entry above a valid
-    # upper bound on the target's final key is equally dead on arrival,
-    # so the gate engages from the very first push instead of only after
-    # the target is first reached.  Pruning is thus exact, not
-    # heuristic, whenever ``ub`` upper-bounds the search's own optimum
-    # (guaranteed in exact mode; see the window caveat in
-    # :func:`_route_net_fast` for heuristic windows).
     pops = 0
     stale = 0
     found = False
@@ -307,7 +320,7 @@ def _search_to_target(
         # the general expression with congestion == 1.0).
         step = crit + one_minus * 1.0
         while heap:
-            _f, u, g = pop(heap)
+            g, u = pop(heap)
             pops += 1
             if g > best[u]:
                 stale += 1
@@ -330,7 +343,48 @@ def _search_to_target(
                     continue  # would pop after the target: dead entry
                 if v == target:
                     tbest = c
-                push(heap, (c, v, c))
+                    tlim = c + 1e-9
+                else:
+                    dx = x - tx
+                    dy = y - ty
+                    h = (dx if dx >= 0 else -dx) + (dy if dy >= 0 else -dy)
+                    if c + h * hstep > tlim:
+                        continue  # cannot reach the target within tbest
+                push(heap, (c, v))
+                pushes += 1
+    elif exact:
+        # Exact mode always searches the whole grid (see
+        # :func:`_route_net_fast`), so there is no window test.
+        while heap:
+            g, u = pop(heap)
+            pops += 1
+            if g > best[u]:
+                stale += 1
+                continue
+            if u == target:
+                found = True
+                break
+            for v, s, x, y in adj[u]:
+                c = g + (crit + one_minus * cost_arr[s])
+                if stamp[v] != gen:
+                    stamp[v] = gen
+                elif c >= best[v] - 1e-12:
+                    continue
+                best[v] = c
+                parent[v] = u
+                parent_seg[v] = s
+                if c > tbest or (c == tbest and v > target):
+                    continue  # would pop after the target: dead entry
+                if v == target:
+                    tbest = c
+                    tlim = c + 1e-9
+                else:
+                    dx = x - tx
+                    dy = y - ty
+                    h = (dx if dx >= 0 else -dx) + (dy if dy >= 0 else -dy)
+                    if c + h * hstep > tlim:
+                        continue  # cannot reach the target within tbest
+                push(heap, (c, v))
                 pushes += 1
     else:
         while heap:
@@ -355,7 +409,7 @@ def _search_to_target(
                 parent_seg[v] = s
                 dx = x - tx
                 dy = y - ty
-                f = c + ((dx if dx >= 0 else -dx) + (dy if dy >= 0 else -dy)) * hfac
+                f = c + ((dx if dx >= 0 else -dx) + (dy if dy >= 0 else -dy)) * hstep
                 if f > tbest or (f == tbest and v > target):
                     continue  # would pop after the target: dead entry
                 if v == target:
@@ -368,40 +422,6 @@ def _search_to_target(
     return found
 
 
-def _old_tree_parents(
-    ig: IndexedRoutingGraph, old_segs: list[int], source: int
-) -> dict[int, tuple[int, int]]:
-    """BFS parents over a net's previous route tree.
-
-    Maps each slot reachable from ``source`` through ``old_segs`` to its
-    ``(parent slot, segment id)`` — enough to walk the old source→sink
-    path of any sink and price it under the current costs.
-    """
-    seg_u, seg_v = ig.seg_u, ig.seg_v
-    parents = {source: (-1, -1)}
-    # Scan-attach: sweep the segment list, attaching every segment that
-    # touches the tree built so far; repeat on the remainder.  The
-    # walk-back order segments arrive in keeps paths nearly contiguous,
-    # so the sweep converges in a couple of passes without building a
-    # per-node adjacency structure.
-    pending = old_segs
-    while pending:
-        rest: list[int] = []
-        for s in pending:
-            u, v = seg_u[s], seg_v[s]
-            if u in parents:
-                if v not in parents:
-                    parents[v] = (u, s)
-            elif v in parents:
-                parents[u] = (v, s)
-            else:
-                rest.append(s)
-        if len(rest) == len(pending):
-            break  # disconnected remnant (defensive; trees never hit it)
-        pending = rest
-    return parents
-
-
 def _route_net_fast(
     ig: IndexedRoutingGraph,
     state: _SearchState,
@@ -411,16 +431,21 @@ def _route_net_fast(
     present_factor: float,
     criticality: dict[int, float],
     exact: bool = False,
-    old_segs: list[int] | None = None,
-) -> list[int]:
-    """Route one net over the indexed graph; returns segment ids in
-    append order (the reference router's walk-back order).
+    old_links: dict[int, tuple[int, int]] | None = None,
+) -> tuple[list[int], dict[int, tuple[int, int]]]:
+    """Route one net over the indexed graph.
 
-    ``exact`` disables the congested-regime heuristics (A* lookahead and
-    bounded windows) so every search replays the reference Dijkstra.
+    Returns the segment ids in append order (the reference router's
+    walk-back order) and the route tree's links: every tree slot mapped
+    to its ``(parent slot, segment id)`` toward ``source`` (the source
+    itself to ``(-1, -1)``), as the walk-backs name them.
 
-    ``old_segs`` is the net's just-ripped-up route (segment ids).  For a
-    congested search it supplies an *incumbent upper bound*: the old
+    ``exact`` disables the congested-regime heuristics (the
+    lookahead-keyed heap and bounded windows) so every search replays
+    the reference Dijkstra.
+
+    ``old_links`` are the links of the net's just-ripped-up route.  For
+    a congested search they supply an *incumbent upper bound*: the old
     source→sink path, re-priced under the current costs in the search's
     own accumulation order, is a feasible solution, so the target's
     final key cannot exceed its cost (plus ``hops * 1e-12`` slack for
@@ -445,11 +470,11 @@ def _route_net_fast(
     tstamp[source] = tgen
     hops[source] = 0
     segments: list[int] = []
+    links = {source: (-1, -1)}
     # Tree bounding box, maintained as nodes join.
     bx0 = bx1 = xs[source]
     by0 = by1 = ys[source]
 
-    old_parents: dict[int, tuple[int, int]] | None = None
     remaining = sorted(sinks, key=lambda s: (-criticality[s], s))
     for target in remaining:
         if tstamp[target] == tgen:
@@ -480,23 +505,20 @@ def _route_net_fast(
             # iteration, or a mid-iteration uniform→congested flip).
             if ig.seg_cost is None or ig._cost_pres != present_factor:
                 ig.refresh_costs(present_factor)
-            if old_segs:
+            if old_links is not None and target in old_links:
                 # Incumbent bound: re-price the old source→sink path in
                 # the search's own accumulation order (docstring above).
-                if old_parents is None:
-                    old_parents = _old_tree_parents(ig, old_segs, source)
-                if target in old_parents:
-                    path_segs: list[int] = []
-                    cursor = target
-                    while cursor != source:
-                        cursor, s = old_parents[cursor]
-                        path_segs.append(s)
-                    cost_arr = ig.seg_cost
-                    one_minus = 1.0 - crit
-                    bound = 0.0
-                    for s in reversed(path_segs):
-                        bound += crit + one_minus * cost_arr[s]
-                    ub = bound + len(path_segs) * 1e-12
+                path_segs: list[int] = []
+                cursor = target
+                while cursor != source:
+                    cursor, s = old_links[cursor]
+                    path_segs.append(s)
+                cost_arr = ig.seg_cost
+                one_minus = 1.0 - crit
+                bound = 0.0
+                for s in reversed(path_segs):
+                    bound += crit + one_minus * cost_arr[s]
+                ub = bound + len(path_segs) * 1e-12
         found = _search_to_target(
             ig, state, tree_nodes, target, crit,
             window, uniform, exact, ub,
@@ -519,7 +541,9 @@ def _route_net_fast(
             if seg_stamp[s] != tgen:
                 seg_stamp[s] = tgen
                 segments.append(s)
-            cursor = parent[cursor]
+            up = parent[cursor]
+            links[cursor] = (up, s)
+            cursor = up
             path.append(cursor)
         # ``cursor`` is the attachment point; fill hop distances forward.
         base = hops[cursor]
@@ -539,7 +563,7 @@ def _route_net_fast(
                 elif y > by1:
                     by1 = y
             offset -= 1
-    return segments
+    return segments, links
 
 
 def _ripup_targets(ig: IndexedRoutingGraph, items, routes: dict[int, list[int]]):
@@ -588,6 +612,7 @@ def _route_design_fast(
     ]
 
     seg_routes: dict[int, list[int]] = {}
+    tree_links: dict[int, dict[int, tuple[int, int]]] = {}
     routed = 0
     ripped = 0
     pres = present_factor
@@ -613,9 +638,9 @@ def _route_design_fast(
                 if old is not None:
                     for s in old:
                         ig.release(s)
-                segs = _route_net_fast(
+                segs, tree_links[net_id] = _route_net_fast(
                     ig, state, net_id, src, sink_ids, pres, crit_ids,
-                    exact, old_segs=old,
+                    exact, tree_links.get(net_id),
                 )
                 seg_routes[net_id] = segs
                 routed += 1
@@ -645,6 +670,7 @@ def _route_design_fast(
             PERF.add("route.search_pushes", state.pushes)
             PERF.add("route.search_stale", state.stale)
             PERF.add("route.bbox_retries", state.retries)
+            PERF.add("route.iterations", iterations)
             PERF.add("route.exact_fallbacks", 1)
         return _route_design_fast(
             arch, nets, channel_width,

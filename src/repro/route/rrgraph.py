@@ -50,8 +50,6 @@ class IndexedRoutingGraph:
         nbr_seg: Segment id per CSR edge (one id per unordered pair).
         seg_slots: Canonical ``(Slot, Slot)`` tuple per segment id, for
             converting integer routes back to the public representation.
-        seg_u / seg_v: Endpoint slot ids per segment id (for walking a
-            route's segments as a graph without tuple lookups).
         usage / history: Per-segment occupancy and PathFinder history.
         seg_cost: The per-segment congestion-cost cache for the current
             negotiation iteration (``None`` when stale); see
@@ -81,8 +79,6 @@ class IndexedRoutingGraph:
                     seg_slots.append((a, b))
         self.seg_slots: list[Segment] = seg_slots
         self.num_segments = len(seg_slots)
-        self.seg_u = array("i", (self.slot_index[a] for a, _b in seg_slots))
-        self.seg_v = array("i", (self.slot_index[b] for _a, b in seg_slots))
 
         # CSR adjacency, neighbour probe order (+x, -x, +y, -y).
         index = self.slot_index

@@ -108,29 +108,32 @@ class TestWinfBitIdentity:
 
 class TestCongestedParity:
     def test_exact_mode_replays_reference(self):
-        """Exact mode equals the reference under real congestion: same
-        success, same iteration count, identical per-net segments."""
-        checked = 0
+        """Exact mode equals the reference under real congestion (widths
+        2–4) and in the uniform regime (W∞): same success, iteration
+        count, wirelength and overuse, identical per-net segments and
+        sink hops."""
+        congested = 0
         for seed in range(12):
             nl, placement = random_circuit(seed)
             nets = pathfinder._routable_nets(nl, placement, True)
-            ref = _route_design_reference(
-                placement.arch, nets, 2, 16, 0.5, 1.6
-            )
-            if ref.iterations <= 1:
-                continue  # never congested; covered by the W∞ tests
-            checked += 1
-            fast = pathfinder._route_design_fast(
-                placement.arch, nets, 2, 16, 0.5, 1.6, exact=True
-            )
-            assert fast.success == ref.success, f"seed {seed}"
-            assert fast.iterations == ref.iterations, f"seed {seed}"
-            assert fast.total_wirelength == ref.total_wirelength, f"seed {seed}"
-            for net_id, r in ref.routes.items():
-                assert fast.routes[net_id].segments == r.segments, (
-                    f"seed {seed} net {net_id}"
+            for width in (2, 3, 4, math.inf):
+                ref = _route_design_reference(
+                    placement.arch, nets, width, 16, 0.5, 1.6
                 )
-        assert checked >= 3  # the sweep actually exercised congestion
+                congested += ref.iterations > 1
+                fast = pathfinder._route_design_fast(
+                    placement.arch, nets, width, 16, 0.5, 1.6, exact=True
+                )
+                where = f"seed {seed} width {width}"
+                assert fast.success == ref.success, where
+                assert fast.iterations == ref.iterations, where
+                assert fast.total_wirelength == ref.total_wirelength, where
+                assert fast.remaining_overuse == ref.remaining_overuse, where
+                for net_id, r in ref.routes.items():
+                    f = fast.routes[net_id]
+                    assert f.segments == r.segments, f"{where} net {net_id}"
+                    assert f.sink_hops == r.sink_hops, f"{where} net {net_id}"
+        assert congested >= 6  # the sweep actually exercised congestion
 
     def test_min_width_never_worse_than_reference(self):
         """The router's negotiated minimum channel width is no worse
